@@ -61,12 +61,8 @@ impl Kernel {
         // one TLB lookup and one cache access per line — exactly the
         // event stream `perf` would see from the copy loop.
         if self.instrumented() {
-            for (base, kind) in [(src, AccessKind::Read), (dst, AccessKind::Write)] {
-                for off in (0..len).step_by(64) {
-                    let (pa, _) = self.translate(space, core, base + off)?;
-                    self.touch_data_line(pa, kind);
-                }
-            }
+            self.stream_lines(space, core, src, len, AccessKind::Read)?;
+            self.stream_lines(space, core, dst, len, AccessKind::Write)?;
         }
 
         // Bandwidth/CPU copy cost under current contention.

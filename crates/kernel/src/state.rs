@@ -253,12 +253,61 @@ impl Kernel {
         }
     }
 
-    /// Route a bulk-copy data line through the cache simulator for
-    /// pollution accounting only (timing of bulk copies is
-    /// bandwidth-modeled; see `memmove`). Public for workload drivers that
-    /// replay mutator access streams in instrumented mode.
+    /// Route one data line through the cache simulator for pollution
+    /// accounting only (its latency is dropped). [`Kernel::stream_lines`]
+    /// is the per-range form; this is the single-line primitive.
     pub fn touch_data_line(&mut self, pa: PhysAddr, kind: AccessKind) {
         self.cache_access(pa, kind);
+    }
+
+    /// Stream the 64-byte lines at `va`, `va + 64`, … below `va + bytes`
+    /// through `core`'s TLB and the cache hierarchy, exactly as a per-line
+    /// loop of [`Kernel::translate`] + [`Kernel::touch_data_line`] would,
+    /// and return the summed translation cycles (cache latencies are
+    /// dropped; callers charge bulk traffic by bandwidth).
+    ///
+    /// Only the first line of each page is really translated. Every other
+    /// line on that page is an L1 DTLB hit on the entry the translation
+    /// just left resident (nothing in between touches the TLB), so those
+    /// hits are applied in closed form ([`Tlb::repeat_l1_hits`], 1 cycle
+    /// each); the far-tier hook is a no-op for them (the first line's
+    /// fetch left the frame resident and already marked touched), and the
+    /// TLB oracle, when enabled, still checks each one. Errors propagate
+    /// from the failing line, as the per-line loop's would.
+    pub fn stream_lines(
+        &mut self,
+        space: &AddressSpace,
+        core: CoreId,
+        va: VirtAddr,
+        bytes: u64,
+        kind: AccessKind,
+    ) -> Result<Cycles, VmError> {
+        const LINE: u64 = 64;
+        let mut t = Cycles::ZERO;
+        let mut off = 0;
+        while off < bytes {
+            let first = va + off;
+            let page_end = (first.vpn() + 1) * PAGE_SIZE;
+            let lines = (page_end - first.get()).min(bytes - off).div_ceil(LINE);
+            let (pa, c) = self.translate(space, core, first)?;
+            t += c;
+            let repeats = lines - 1;
+            if repeats > 0 {
+                self.perf.tlb_lookups += repeats;
+                self.tlbs[core.0].repeat_l1_hits(space.asid(), first.vpn(), repeats);
+                if self.tlb_oracle.is_enabled() {
+                    for i in 1..lines {
+                        self.oracle_check_hit(space, core, first + i * LINE, pa.frame());
+                    }
+                }
+                t += Cycles(repeats);
+            }
+            for i in 0..lines {
+                self.cache_access(pa + i * LINE, kind);
+            }
+            off += lines * LINE;
+        }
+        Ok(t)
     }
 
     /// Touch the shadow line of the PTE for `va` at walk `level`

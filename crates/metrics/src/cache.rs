@@ -82,16 +82,22 @@ impl CacheGeometry {
 }
 
 /// One set-associative, true-LRU cache level.
+///
+/// Each set's ways are stored in recency order, most recently used
+/// first; invalid ways (`u64::MAX`) sit at the tail. A hit moves its tag
+/// to the front, a miss shifts the set down one way and drops the tail —
+/// an invalid way if the set has one, otherwise the least recently used
+/// line. Lookup is associative within the set, so the hit/miss sequence
+/// is exactly that of a per-way LRU-stamp model, with half the memory and
+/// no victim scan.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     sets: usize,
     ways: usize,
     line_shift: u32,
-    /// `sets * ways` tags; `u64::MAX` = invalid.
+    /// `sets * ways` line tags, each set ordered MRU → LRU;
+    /// `u64::MAX` = invalid.
     tags: Vec<u64>,
-    /// LRU stamps parallel to `tags`.
-    stamps: Vec<u64>,
-    tick: u64,
     hits: u64,
     misses: u64,
 }
@@ -109,8 +115,6 @@ impl SetAssocCache {
             ways,
             line_shift: line_bytes.trailing_zeros(),
             tags: vec![u64::MAX; sets * ways],
-            stamps: vec![0; sets * ways],
-            tick: 0,
             hits: 0,
             misses: 0,
         }
@@ -119,36 +123,28 @@ impl SetAssocCache {
     /// Look up the line containing `addr`; on miss, fill with LRU
     /// replacement. Returns `true` on hit.
     pub fn access(&mut self, addr: u64) -> bool {
-        self.tick += 1;
         let line = addr >> self.line_shift;
-        let set = (line as usize) & (self.sets - 1);
-        let base = set * self.ways;
+        let base = ((line as usize) & (self.sets - 1)) * self.ways;
         let slots = &mut self.tags[base..base + self.ways];
-        if let Some(w) = slots.iter().position(|&t| t == line) {
-            self.stamps[base + w] = self.tick;
-            self.hits += 1;
-            return true;
-        }
-        self.misses += 1;
-        // Evict LRU (or first invalid) way.
-        let victim = (0..self.ways)
-            .min_by_key(|&w| {
-                if self.tags[base + w] == u64::MAX {
-                    0
-                } else {
-                    self.stamps[base + w]
-                }
-            })
-            .expect("cache invariant: associativity (ways) is at least 1");
-        self.tags[base + victim] = line;
-        self.stamps[base + victim] = self.tick;
-        false
+        let hit = match slots.iter().position(|&t| t == line) {
+            Some(w) => {
+                slots.copy_within(..w, 1);
+                self.hits += 1;
+                true
+            }
+            None => {
+                slots.copy_within(..self.ways - 1, 1);
+                self.misses += 1;
+                false
+            }
+        };
+        slots[0] = line;
+        hit
     }
 
     /// Invalidate everything (e.g. between benchmark repetitions).
     pub fn flush(&mut self) {
         self.tags.fill(u64::MAX);
-        self.stamps.fill(0);
     }
 
     /// (hits, misses) since construction or [`Self::reset_stats`].
@@ -203,19 +199,6 @@ impl CacheHierarchy {
             return CacheLevel::Llc;
         }
         CacheLevel::Memory
-    }
-
-    /// `perf`-style cache statistics: "cache references" are accesses that
-    /// missed L1 (reached the LLC-bound path), and "cache misses" are those
-    /// that missed the LLC — mirroring `cache-references`/`cache-misses`.
-    pub fn perf_style_miss_pct(&self) -> f64 {
-        let (_, l1_miss) = self.l1.stats();
-        let (_, llc_miss) = self.llc.stats();
-        if l1_miss == 0 {
-            0.0
-        } else {
-            100.0 * llc_miss as f64 / l1_miss as f64
-        }
     }
 
     /// Total accesses presented.
@@ -309,17 +292,5 @@ mod tests {
         h.access(128, AccessKind::Read);
         h.access(256, AccessKind::Read); // evicts line 0 from L1
         assert_eq!(h.access(0, AccessKind::Read), CacheLevel::L2);
-    }
-
-    #[test]
-    fn perf_style_pct_bounded() {
-        let mut h = CacheHierarchy::new(&CacheGeometry::client_skylake());
-        for addr in (0..(8u64 << 20)).step_by(64) {
-            h.access(addr, AccessKind::Read);
-        }
-        let pct = h.perf_style_miss_pct();
-        assert!((0.0..=100.0).contains(&pct));
-        // Pure streaming over 8 MiB > LLC: high miss ratio.
-        assert!(pct > 50.0, "streaming miss pct was {pct}");
     }
 }

@@ -53,6 +53,12 @@ impl TlbConfig {
 /// stamp is ≥ 1). The simulated state machine is bit-identical to the
 /// naive array-of-structs it replaced: hits, misses, LRU victims, and
 /// flush effects all agree, which the perf gate pins via `sim_digest`.
+///
+/// Unlike the data caches (`svagc_metrics::SetAssocCache`, which keeps
+/// each set in recency order), the TLB keeps explicit stamps: flushes
+/// invalidate single entries in place, and a run of `n` back-to-back hits
+/// on one entry collapses to one stamp write
+/// ([`TlbArray::repeat_hits`]).
 #[derive(Debug)]
 struct TlbArray {
     sets: usize,
@@ -100,6 +106,19 @@ impl TlbArray {
             }
         }
         None
+    }
+
+    /// The state `n` consecutive hitting [`TlbArray::lookup`]s of the
+    /// resident entry `(asid, vpn)` leave behind: the tick advances by
+    /// `n` and the entry's stamp is the last of them.
+    fn repeat_hits(&mut self, asid: Asid, vpn: u64, n: u64) {
+        let tag = tag_of(asid, vpn);
+        let base = self.set_of(vpn) * self.ways;
+        let w = (base..base + self.ways)
+            .find(|&w| self.tags[w] == tag && self.stamps[w] != 0)
+            .expect("repeat_hits caller guarantees the entry is resident");
+        self.tick += n;
+        self.stamps[w] = self.tick;
     }
 
     fn insert(&mut self, asid: Asid, vpn: u64, frame: FrameId) {
@@ -186,6 +205,15 @@ impl Tlb {
         }
         self.misses += 1;
         (TlbHit::Miss, None)
+    }
+
+    /// Account `n` further L1 hits on `(asid, vpn)` in closed form —
+    /// exactly what `n` back-to-back [`Tlb::lookup`]s leave behind when
+    /// the entry is resident in the L1 DTLB (as it always is right after
+    /// a lookup or insert of that page). Panics if it is not.
+    pub fn repeat_l1_hits(&mut self, asid: Asid, vpn: u64, n: u64) {
+        self.lookups += n;
+        self.l1.repeat_hits(asid, vpn, n);
     }
 
     /// Fill both levels after a page walk.
@@ -384,6 +412,33 @@ mod tests {
         assert_eq!(hit, TlbHit::L1);
         assert_eq!(f, Some(FrameId(3)));
         assert_eq!(t.stats(), (2, 1));
+    }
+
+    #[test]
+    fn repeat_l1_hits_equals_repeated_lookups() {
+        // Two TLBs see the same history; one replays 5 hits on vpn 7 by
+        // lookup, the other in closed form. Every later LRU decision in
+        // the (4-way) set of vpn 7 must agree.
+        let mut a = tlb();
+        let mut b = tlb();
+        for t in [&mut a, &mut b] {
+            for vpn in [7, 23, 39, 55] {
+                t.insert(A, vpn, FrameId(vpn as u32));
+            }
+        }
+        for _ in 0..5 {
+            assert_eq!(a.lookup(A, 7).0, TlbHit::L1);
+        }
+        b.repeat_l1_hits(A, 7, 5);
+        assert_eq!(a.stats(), b.stats());
+        for t in [&mut a, &mut b] {
+            t.lookup(A, 23);
+            t.insert(A, 71, FrameId(71)); // evicts the L1 LRU way: 39
+        }
+        for vpn in [7, 23, 39, 55, 71] {
+            assert_eq!(a.lookup(A, vpn), b.lookup(A, vpn), "vpn {vpn}");
+        }
+        assert_eq!(a.stats(), b.stats());
     }
 
     #[test]

@@ -257,7 +257,7 @@ impl Workload for ChurnWorkload {
             let lo = self.live[idx];
             let obj = env.roots.get(lo.rid);
             let bytes = lo.shape.size_bytes();
-            env.compute_over(obj, bytes);
+            env.compute_over(obj, bytes)?;
             touched += bytes;
         }
         env.charge_app(Cycles(

@@ -281,24 +281,24 @@ impl<'a> JvmEnv<'a> {
 
     /// Model the mutator streaming over `bytes` of an object (compute
     /// kernels reading their arrays): bandwidth-costed, and in instrumented
-    /// mode the lines pass through the cache/DTLB simulators.
-    pub fn compute_over(&mut self, obj: ObjRef, bytes: u64) {
+    /// mode the lines pass through the cache/DTLB simulators. A line that
+    /// cannot be translated (e.g. a far page whose bytes the device lost)
+    /// fails the step, as it would a GC copy.
+    pub fn compute_over(&mut self, obj: ObjRef, bytes: u64) -> Result<(), GcError> {
         self.app_cycles += self
             .kernel
             .bandwidth
             .copy_cycles(&self.kernel.machine, bytes / 2);
         if self.kernel.instrumented() {
-            // One TLB lookup + one cache access per line (the hardware
-            // event stream; lines within a page naturally hit the TLB).
-            for off in (0..bytes).step_by(64) {
-                if let Ok((pa, t)) =
-                    self.kernel.translate(self.heap.space(), self.core, obj.0 + off)
-                {
-                    self.app_cycles += t;
-                    self.kernel.touch_data_line(pa, AccessKind::Read);
-                }
-            }
+            self.app_cycles += self.kernel.stream_lines(
+                self.heap.space(),
+                self.core,
+                obj.0,
+                bytes,
+                AccessKind::Read,
+            )?;
         }
+        Ok(())
     }
 
     /// Charge pure compute (no memory traffic).

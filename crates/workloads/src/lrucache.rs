@@ -113,7 +113,7 @@ impl Workload for LruCache {
             let i = self.rng.gen_range(0..self.queue.len());
             let e = self.queue[i];
             let obj = env.roots.get(e.rid);
-            env.compute_over(obj, e.shape.size_bytes());
+            env.compute_over(obj, e.shape.size_bytes())?;
             // Move to MRU position.
             let e = self
                 .queue

@@ -122,7 +122,7 @@ impl Workload for PageRank {
         // Rank update streams every adjacency block + both rank vectors.
         for (rid, shape, _) in &self.blocks {
             let obj = env.roots.get(*rid);
-            env.compute_over(obj, shape.size_bytes());
+            env.compute_over(obj, shape.size_bytes())?;
         }
         env.charge_app(Cycles(EDGES * 6)); // scatter/gather arithmetic
         // Scratch garbage (message buffers).

@@ -101,7 +101,7 @@ impl Workload for ParallelSort {
             for side in 0..2 {
                 let (rid, shape, _) = self.arrays[2 * p + side];
                 let obj = env.roots.get(rid);
-                env.compute_over(obj, shape.size_bytes());
+                env.compute_over(obj, shape.size_bytes())?;
             }
             self.seed_counter += 1_000_000;
             let merged_shape = Self::chunk_shape(entries_each * 2);
