@@ -515,16 +515,8 @@ impl Heap {
         at: VirtAddr,
         size: u64,
     ) -> Result<Cycles, HeapError> {
-        const ZERO_CHUNK: [u8; 4096] = [0u8; 4096];
         let t = kernel.tier_resolve_write_range(&self.space, at, size)?;
-        let mut va = at;
-        let mut left = size;
-        while left > 0 {
-            let n = left.min(ZERO_CHUNK.len() as u64) as usize;
-            kernel.vmem.write_bytes(&self.space, va, &ZERO_CHUNK[..n])?;
-            va = va + n as u64;
-            left -= n as u64;
-        }
+        kernel.vmem.zero_bytes(&self.space, at, size)?;
         Ok(t)
     }
 
@@ -900,6 +892,25 @@ mod tests {
         assert_eq!(h.object_count(), 0);
         // Within budget still works.
         h.alloc(&mut k, CoreId(0), ObjShape::data_bytes(4 * PAGE_SIZE)).unwrap();
+    }
+
+    #[test]
+    fn allocation_over_collected_garbage_reads_zero() {
+        let (mut k, mut h) = setup(1 << 20);
+        let small = ObjShape::data(10);
+        let (keep, _) = h.alloc(&mut k, CoreId(0), small).unwrap();
+        let (junk, _) = h.alloc(&mut k, CoreId(0), ObjShape::data(2000)).unwrap();
+        h.init_data_bulk(&mut k, junk, 0, &[0xA5; 2000 * 8]).unwrap();
+        // A collection keeps only `keep`: the cursor drops back mid-frame,
+        // onto the dirty frame the garbage started in.
+        let top = keep.0 + small.size_bytes();
+        assert_ne!(top.page_offset(), 0);
+        h.complete_gc(vec![keep], top);
+        let (obj, _) = h.alloc(&mut k, CoreId(0), ObjShape::data(1500)).unwrap();
+        assert_eq!(obj.0, top);
+        let mut bytes = vec![0xFF; 1500 * 8];
+        k.vmem.read_bytes(h.space(), obj.data_va(0, 0), &mut bytes).unwrap();
+        assert!(bytes.iter().all(|&b| b == 0), "garbage leaked into a fresh object");
     }
 
     #[test]

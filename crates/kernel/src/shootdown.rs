@@ -208,7 +208,7 @@ impl Kernel {
 mod tests {
     use super::*;
     use svagc_metrics::MachineConfig;
-    use svagc_vmem::AddressSpace;
+    use svagc_vmem::{AddressSpace, VirtAddr};
 
     #[test]
     fn broadcast_sends_cores_minus_one_ipis() {
@@ -343,6 +343,59 @@ mod tests {
         let (_, intf3) = k.flush_asid_tracked(CoreId(0), s.asid());
         assert_eq!(k.perf.ipis_sent, 3);
         assert_eq!(intf3.0.get(), 3 * k.machine.costs.ipi_receive_flush);
+    }
+
+    /// Two address spaces, each with one page mapped at the same virtual
+    /// address: core 3 holds both, core 5 holds only space 2.
+    fn two_space_kernel() -> (Kernel, AddressSpace, AddressSpace, VirtAddr) {
+        let mut k = Kernel::new(MachineConfig::xeon_gold_6130(), 16);
+        k.set_tlb_oracle(true);
+        k.set_tracing(true);
+        let mut s1 = AddressSpace::new(Asid(1));
+        let mut s2 = AddressSpace::new(Asid(2));
+        let a = k.vmem.alloc_region(&mut s1, 1).unwrap();
+        let b = k.vmem.alloc_region(&mut s2, 1).unwrap();
+        k.translate(&s1, CoreId(3), a).unwrap();
+        k.translate(&s2, CoreId(3), b).unwrap();
+        k.translate(&s2, CoreId(5), b).unwrap();
+        assert_eq!(a, b);
+        (k, s1, s2, a)
+    }
+
+    #[test]
+    fn tracked_flush_skips_cores_holding_only_other_spaces() {
+        let (mut k, s1, s2, _) = two_space_kernel();
+        k.flush_asid_tracked(CoreId(0), s1.asid());
+        assert_eq!(k.perf.ipis_sent, 1, "core 5 holds only space 2: no IPI");
+        // Space 1 is gone everywhere; space 2 is still on cores 3 and 5.
+        k.flush_asid_tracked(CoreId(0), s2.asid());
+        assert_eq!(k.perf.ipis_sent, 3, "both holders of space 2 are IPIed");
+        #[cfg(feature = "trace")]
+        {
+            let victims: Vec<u64> = k
+                .take_trace()
+                .into_iter()
+                .filter(|e| e.kind == TraceKind::Shootdown)
+                .map(|e| e.arg("victims").unwrap())
+                .collect();
+            assert_eq!(victims, [1 << 3, (1 << 3) | (1 << 5)]);
+        }
+        assert_eq!(k.tlb_oracle_stats().audit_violations, 0);
+    }
+
+    #[test]
+    fn flushing_one_space_keeps_the_other_resident() {
+        let (mut k, s1, s2, va) = two_space_kernel();
+        k.flush_asid_tracked(CoreId(0), s1.asid());
+        k.flush_asid_all_cores(CoreId(0), s1.asid());
+        let misses = k.perf.tlb_misses;
+        k.translate(&s2, CoreId(3), va).unwrap();
+        k.translate(&s2, CoreId(5), va).unwrap();
+        assert_eq!(k.perf.tlb_misses, misses, "space 2 hits without a refill");
+        k.translate(&s1, CoreId(3), va).unwrap();
+        assert_eq!(k.perf.tlb_misses, misses + 1, "space 1 re-walks");
+        let st = k.tlb_oracle_stats();
+        assert_eq!((st.audit_violations, st.stale_hits), (0, 0));
     }
 
     #[test]

@@ -4,14 +4,20 @@
 //! through translations after compaction, so a PTE swap that corrupted data
 //! would be caught, not just mis-costed.
 
-use crate::addr::{FrameId, PhysAddr, PAGE_SIZE};
+use crate::addr::{FrameId, PhysAddr, PAGE_SHIFT, PAGE_SIZE};
 use crate::error::VmError;
 use crate::pool::{AllocContext, FrameLease};
 
 /// Flat physical memory of `frames * 4096` bytes.
+///
+/// Each frame carries a "may be non-zero" bit with the invariant *clean ⇒
+/// every byte is 0*: writes mark the frames they touch, and [`PhysMem::zero`]
+/// skips clean frames. Zeroing memory that is still zero therefore writes
+/// nothing, and never-written frames stay untouched host pages.
 #[derive(Debug)]
 pub struct PhysMem {
     bytes: Vec<u8>,
+    dirty: Vec<bool>,
     frames: u32,
 }
 
@@ -20,6 +26,7 @@ impl PhysMem {
     pub fn new(frames: u32) -> PhysMem {
         PhysMem {
             bytes: vec![0u8; frames as usize * PAGE_SIZE as usize],
+            dirty: vec![false; frames as usize],
             frames,
         }
     }
@@ -44,6 +51,15 @@ impl PhysMem {
         Ok(start as usize)
     }
 
+    /// Mark the frames under the byte range `[i, i + len)` as possibly
+    /// non-zero.
+    #[inline]
+    fn mark_dirty(&mut self, i: usize, len: usize) {
+        if len > 0 {
+            self.dirty[i >> PAGE_SHIFT..=(i + len - 1) >> PAGE_SHIFT].fill(true);
+        }
+    }
+
     /// Read one 8-byte word (must not straddle the pool end).
     #[inline]
     pub fn read_u64(&self, pa: PhysAddr) -> Result<u64, VmError> {
@@ -60,6 +76,9 @@ impl PhysMem {
     pub fn write_u64(&mut self, pa: PhysAddr, val: u64) -> Result<(), VmError> {
         let i = self.check(pa, 8)?;
         self.bytes[i..i + 8].copy_from_slice(&val.to_le_bytes());
+        // A word may straddle two frames.
+        self.dirty[i >> PAGE_SHIFT] = true;
+        self.dirty[(i + 7) >> PAGE_SHIFT] = true;
         Ok(())
     }
 
@@ -82,6 +101,7 @@ impl PhysMem {
     pub fn write_bytes(&mut self, pa: PhysAddr, buf: &[u8]) -> Result<(), VmError> {
         let i = self.check(pa, buf.len() as u64)?;
         self.bytes[i..i + buf.len()].copy_from_slice(buf);
+        self.mark_dirty(i, buf.len());
         Ok(())
     }
 
@@ -90,14 +110,33 @@ impl PhysMem {
         let s = self.check(src, len)?;
         let d = self.check(dst, len)?;
         self.bytes.copy_within(s..s + len as usize, d);
+        self.mark_dirty(d, len as usize);
+        Ok(())
+    }
+
+    /// Zero `len` bytes at `pa`. Clean frames are skipped; a dirty frame
+    /// becomes clean only when the whole frame was zeroed.
+    pub fn zero(&mut self, pa: PhysAddr, len: u64) -> Result<(), VmError> {
+        let mut i = self.check(pa, len)?;
+        let end = i + len as usize;
+        let page = PAGE_SIZE as usize;
+        while i < end {
+            let frame = i >> PAGE_SHIFT;
+            let stop = end.min((frame + 1) * page);
+            if self.dirty[frame] {
+                self.bytes[i..stop].fill(0);
+                if stop - i == page {
+                    self.dirty[frame] = false;
+                }
+            }
+            i = stop;
+        }
         Ok(())
     }
 
     /// Zero a whole frame.
     pub fn zero_frame(&mut self, frame: FrameId) -> Result<(), VmError> {
-        let i = self.check(frame.base(), PAGE_SIZE)?;
-        self.bytes[i..i + PAGE_SIZE as usize].fill(0);
-        Ok(())
+        self.zero(frame.base(), PAGE_SIZE)
     }
 
     /// Borrow a frame's bytes (tests, checksums).
@@ -400,6 +439,96 @@ mod tests {
         assert_eq!(a.alloc_many(3).unwrap().len(), 3);
         assert_eq!(a.in_use(), 4);
         assert_eq!(a.peak(), 4);
+    }
+
+    /// Random writes (frame-straddling words, byte runs, overlapping
+    /// copies) and zeroing (partial, whole-frame, `zero_frame`) against a
+    /// plain byte model: the bytes agree after every op, and every clean
+    /// frame is all zero.
+    #[test]
+    fn clean_frames_match_a_byte_model() {
+        use svagc_metrics::SimRng;
+        const FRAMES: u32 = 4;
+        let size = FRAMES as u64 * PAGE_SIZE;
+        for case in 0..64u64 {
+            let seed = 0xc1ea_0000 + case;
+            let mut rng = SimRng::seed_from_u64(seed);
+            let mut m = PhysMem::new(FRAMES);
+            let mut model = vec![0u8; size as usize];
+            for step in 0..200 {
+                // Addresses cluster around frame boundaries half the time.
+                let addr = |rng: &mut SimRng, len: u64| -> u64 {
+                    let at = if rng.gen_bool(0.5) {
+                        let edge = rng.gen_range(1..FRAMES as u64) * PAGE_SIZE;
+                        edge - rng.gen_range(0..16u64)
+                    } else {
+                        rng.gen_range(0..size)
+                    };
+                    at.min(size - len)
+                };
+                let op = rng.gen_range(0..6u32);
+                match op {
+                    0 => {
+                        let pa = addr(&mut rng, 8);
+                        let val = rng.next_u64();
+                        m.write_u64(PhysAddr(pa), val).unwrap();
+                        model[pa as usize..pa as usize + 8].copy_from_slice(&val.to_le_bytes());
+                    }
+                    1 => {
+                        let len = rng.gen_range(0..6000u64);
+                        let pa = addr(&mut rng, len) as usize;
+                        let buf: Vec<u8> = (0..len).map(|_| rng.gen_range(0..4u32) as u8).collect();
+                        m.write_bytes(PhysAddr(pa as u64), &buf).unwrap();
+                        model[pa..pa + buf.len()].copy_from_slice(&buf);
+                    }
+                    2 => {
+                        let len = rng.gen_range(0..6000u64);
+                        let src = addr(&mut rng, len) as usize;
+                        let dst = addr(&mut rng, len) as usize;
+                        m.copy(PhysAddr(src as u64), PhysAddr(dst as u64), len).unwrap();
+                        model.copy_within(src..src + len as usize, dst);
+                    }
+                    3 => {
+                        let len = rng.gen_range(0..9000u64);
+                        let pa = addr(&mut rng, len) as usize;
+                        m.zero(PhysAddr(pa as u64), len).unwrap();
+                        model[pa..pa + len as usize].fill(0);
+                    }
+                    4 => {
+                        let f = rng.gen_range(0..FRAMES as u64);
+                        let pages = rng.gen_range(1..FRAMES as u64 - f + 1);
+                        m.zero(PhysAddr(f * PAGE_SIZE), pages * PAGE_SIZE).unwrap();
+                        model[(f * PAGE_SIZE) as usize..((f + pages) * PAGE_SIZE) as usize].fill(0);
+                    }
+                    _ => {
+                        let f = rng.gen_range(0..FRAMES);
+                        m.zero_frame(FrameId(f)).unwrap();
+                        let base = f as usize * PAGE_SIZE as usize;
+                        model[base..base + PAGE_SIZE as usize].fill(0);
+                    }
+                }
+                let at = format!("case {case} (seed {seed:#x}) step {step} op {op}");
+                assert!(m.bytes == model, "{at}: bytes diverged from the model");
+                for f in 0..FRAMES {
+                    assert!(
+                        m.dirty[f as usize] || m.frame_bytes(FrameId(f)).unwrap().iter().all(|&b| b == 0),
+                        "{at}: clean frame {f} holds non-zero bytes"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn only_whole_frame_zeroing_cleans_a_frame() {
+        let mut m = PhysMem::new(2);
+        m.write_u64(PhysAddr(4096 - 4), u64::MAX).unwrap(); // straddles 0|1
+        assert_eq!(m.dirty, [true, true]);
+        m.zero(PhysAddr(8), 4096).unwrap(); // whole of neither frame
+        assert_eq!(m.dirty, [true, true]);
+        m.zero_frame(FrameId(1)).unwrap();
+        assert_eq!(m.dirty, [true, false]);
+        assert_eq!(m.read_u64(PhysAddr(0)).unwrap(), 0);
     }
 
     #[test]

@@ -233,6 +233,23 @@ impl Vmem {
         Ok(())
     }
 
+    /// Zero `len` bytes starting at `va`, crossing pages as needed. Frames
+    /// that are still all zero are skipped (see [`PhysMem::zero`]).
+    pub fn zero_bytes(
+        &mut self,
+        space: &AddressSpace,
+        mut va: VirtAddr,
+        mut len: u64,
+    ) -> Result<(), VmError> {
+        while len > 0 {
+            let in_page = (PAGE_SIZE - va.page_offset()).min(len);
+            self.phys.zero(space.translate(va)?, in_page)?;
+            va = va + in_page;
+            len -= in_page;
+        }
+        Ok(())
+    }
+
     /// Move `len` bytes from `src` to `dst` with memmove semantics
     /// (overlap-safe), copying page-bounded chunks frame-to-frame.
     ///

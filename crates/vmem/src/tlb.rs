@@ -59,6 +59,11 @@ impl TlbConfig {
 /// invalidate single entries in place, and a run of `n` back-to-back hits
 /// on one entry collapses to one stamp write
 /// ([`TlbArray::repeat_hits`]).
+///
+/// `resident` counts the valid entries of each address space, updated
+/// wherever validity changes (`insert`, `flush_*`; lookups never change
+/// it). It answers the tracked shootdown's "does this core hold the
+/// ASID?" in O(1) and lets `flush_asid` skip arrays that hold none of it.
 #[derive(Debug)]
 struct TlbArray {
     sets: usize,
@@ -69,6 +74,9 @@ struct TlbArray {
     stamps: Vec<u64>,
     frames: Vec<FrameId>,
     tick: u64,
+    /// `(asid, valid entries)` for every ASID with at least one valid
+    /// entry. Runs hold one to a few ASIDs, so a linear table suffices.
+    resident: Vec<(u16, u32)>,
 }
 
 #[inline]
@@ -87,6 +95,26 @@ impl TlbArray {
             stamps: vec![0; entries],
             frames: vec![FrameId::default(); entries],
             tick: 0,
+            resident: Vec::new(),
+        }
+    }
+
+    fn count_valid(&mut self, asid: u16) {
+        match self.resident.iter_mut().find(|(a, _)| *a == asid) {
+            Some((_, n)) => *n += 1,
+            None => self.resident.push((asid, 1)),
+        }
+    }
+
+    fn count_invalid(&mut self, asid: u16) {
+        let i = self
+            .resident
+            .iter()
+            .position(|&(a, _)| a == asid)
+            .expect("TLB invariant: an invalidated entry's ASID is counted");
+        self.resident[i].1 -= 1;
+        if self.resident[i].1 == 0 {
+            self.resident.swap_remove(i);
         }
     }
 
@@ -130,6 +158,13 @@ impl TlbArray {
         let victim = (base..base + self.ways)
             .min_by_key(|&w| self.stamps[w])
             .expect("TLB invariant: associativity (ways) is at least 1");
+        // Evicting a valid entry of the same ASID leaves its count as is.
+        if self.stamps[victim] == 0 {
+            self.count_valid(asid.0);
+        } else if self.tags[victim] as u16 != asid.0 {
+            self.count_invalid(self.tags[victim] as u16);
+            self.count_valid(asid.0);
+        }
         self.tags[victim] = tag_of(asid, vpn);
         self.stamps[victim] = self.tick;
         self.frames[victim] = frame;
@@ -137,11 +172,24 @@ impl TlbArray {
 
     fn flush_all(&mut self) {
         self.stamps.fill(0);
+        self.resident.clear();
     }
 
+    /// An entry is invalid exactly when its stamp is 0, so clearing
+    /// stamps that are already 0 changes nothing: an array holding none
+    /// of `asid` returns at once, and one holding only `asid` clears
+    /// every stamp without comparing tags.
     fn flush_asid(&mut self, asid: Asid) {
+        let Some(i) = self.resident.iter().position(|&(a, _)| a == asid.0) else {
+            return;
+        };
+        self.resident.swap_remove(i);
+        if self.resident.is_empty() {
+            self.stamps.fill(0);
+            return;
+        }
         for (s, &t) in self.stamps.iter_mut().zip(self.tags.iter()) {
-            if t & 0xFFFF == asid.0 as u64 {
+            if t as u16 == asid.0 {
                 *s = 0;
             }
         }
@@ -151,21 +199,19 @@ impl TlbArray {
         let tag = tag_of(asid, vpn);
         let base = self.set_of(vpn) * self.ways;
         for w in base..base + self.ways {
-            if self.tags[w] == tag {
+            if self.tags[w] == tag && self.stamps[w] != 0 {
                 self.stamps[w] = 0;
+                self.count_invalid(asid.0);
             }
         }
     }
 
     fn valid_count(&self) -> usize {
-        self.stamps.iter().filter(|&&s| s != 0).count()
+        self.resident.iter().map(|&(_, n)| n as usize).sum()
     }
 
     fn holds_asid(&self, asid: Asid) -> bool {
-        self.stamps
-            .iter()
-            .zip(self.tags.iter())
-            .any(|(&s, &t)| s != 0 && t & 0xFFFF == asid.0 as u64)
+        self.resident.iter().any(|&(a, _)| a == asid.0)
     }
 }
 
@@ -263,7 +309,7 @@ impl Tlb {
     }
 
     /// Does this TLB hold any entry of `asid`? (The question an
-    /// access-tracking shootdown scheme answers per core.)
+    /// access-tracking shootdown scheme answers per core; O(1).)
     pub fn holds_asid(&self, asid: Asid) -> bool {
         self.l1.holds_asid(asid) || self.stlb.holds_asid(asid)
     }
@@ -492,6 +538,143 @@ mod tests {
         assert!(t.resident() > 0);
         t.flush_all();
         assert_eq!(t.resident(), 0);
+    }
+
+    /// The scans the residency table replaced, kept as its reference.
+    fn scanned_valid_count(a: &TlbArray) -> usize {
+        a.stamps.iter().filter(|&&s| s != 0).count()
+    }
+
+    fn scanned_holds_asid(a: &TlbArray, asid: u16) -> bool {
+        a.stamps
+            .iter()
+            .zip(a.tags.iter())
+            .any(|(&s, &t)| s != 0 && t as u16 == asid)
+    }
+
+    /// The flush the table replaced: always compare every tag.
+    fn scanning_flush_asid(a: &mut TlbArray, asid: Asid) {
+        for (s, &t) in a.stamps.iter_mut().zip(a.tags.iter()) {
+            if t as u16 == asid.0 {
+                *s = 0;
+            }
+        }
+        a.resident.retain(|&(x, _)| x != asid.0);
+    }
+
+    /// The residency table must equal a brute-force scan of the entries.
+    fn check_residency(a: &TlbArray) -> Result<(), String> {
+        let mut scanned: Vec<(u16, u32)> = Vec::new();
+        for (&s, &t) in a.stamps.iter().zip(a.tags.iter()) {
+            if s != 0 {
+                match scanned.iter_mut().find(|(x, _)| *x == t as u16) {
+                    Some((_, n)) => *n += 1,
+                    None => scanned.push((t as u16, 1)),
+                }
+            }
+        }
+        let mut table = a.resident.clone();
+        table.sort_unstable();
+        scanned.sort_unstable();
+        if table != scanned {
+            return Err(format!("table {table:?} != scan {scanned:?}"));
+        }
+        if a.valid_count() != scanned_valid_count(a) {
+            return Err("valid_count disagrees with a scan".into());
+        }
+        for asid in 0..4 {
+            if a.holds_asid(Asid(asid)) != scanned_holds_asid(a, asid) {
+                return Err(format!("holds_asid({asid}) disagrees with a scan"));
+            }
+        }
+        Ok(())
+    }
+
+    fn same_state(a: &TlbArray, b: &TlbArray) -> bool {
+        a.tick == b.tick && a.stamps == b.stamps && a.tags == b.tags && a.frames == b.frames
+    }
+
+    /// Random op sequences over 3 ASIDs on VPNs that collide in one L1 set
+    /// (16 sets) and one STLB set (128 sets), so both levels evict. After
+    /// every op the residency tables match a scan, and a twin TLB whose
+    /// `flush_asid` always scans agrees on every lookup and LRU state.
+    #[test]
+    fn residency_counts_match_a_scan() {
+        use svagc_metrics::SimRng;
+        for case in 0..64u64 {
+            let seed = 0x71b_0000 + case;
+            let mut rng = SimRng::seed_from_u64(seed);
+            let mut t = tlb();
+            let mut twin = tlb();
+            for step in 0..600 {
+                let asid = Asid(rng.gen_range(1..4u32) as u16);
+                let vpn = rng.gen_range(0..2u64) * 5 + rng.gen_range(0..20u64) * 128;
+                let op = rng.gen_range(0..16u32);
+                let what = match op {
+                    0..=4 => {
+                        let got = t.lookup(asid, vpn);
+                        if got != twin.lookup(asid, vpn) {
+                            Err(format!("lookup({asid:?}, {vpn}) disagrees"))
+                        } else {
+                            Ok(())
+                        }
+                    }
+                    5..=9 => {
+                        let f = FrameId(rng.gen_range(0..1000u32));
+                        t.insert(asid, vpn, f);
+                        twin.insert(asid, vpn, f);
+                        Ok(())
+                    }
+                    10 | 11 => {
+                        let tag = tag_of(asid, vpn);
+                        let in_l1 = t
+                            .l1
+                            .tags
+                            .iter()
+                            .zip(t.l1.stamps.iter())
+                            .any(|(&g, &s)| g == tag && s != 0);
+                        if in_l1 {
+                            let n = rng.gen_range(1..100u64);
+                            t.repeat_l1_hits(asid, vpn, n);
+                            twin.repeat_l1_hits(asid, vpn, n);
+                        }
+                        Ok(())
+                    }
+                    12 => {
+                        t.flush_page(asid, vpn);
+                        twin.flush_page(asid, vpn);
+                        Ok(())
+                    }
+                    13 | 14 => {
+                        t.flush_asid(asid);
+                        scanning_flush_asid(&mut twin.l1, asid);
+                        scanning_flush_asid(&mut twin.stlb, asid);
+                        Ok(())
+                    }
+                    _ => {
+                        if rng.gen_range(0..8u32) == 0 {
+                            t.flush_all();
+                            twin.flush_all();
+                        }
+                        Ok(())
+                    }
+                };
+                let checked = what
+                    .and_then(|()| check_residency(&t.l1).map_err(|e| format!("L1: {e}")))
+                    .and_then(|()| check_residency(&t.stlb).map_err(|e| format!("STLB: {e}")))
+                    .and_then(|()| {
+                        if same_state(&t.l1, &twin.l1) && same_state(&t.stlb, &twin.stlb) {
+                            Ok(())
+                        } else {
+                            Err("LRU state diverged from the scanning twin".into())
+                        }
+                    });
+                if let Err(e) = checked {
+                    panic!("case {case} (seed {seed:#x}) step {step} op {op} {asid:?} vpn {vpn}: {e}");
+                }
+            }
+            assert_eq!(t.stats(), twin.stats(), "seed {seed:#x}");
+        }
     }
 
     #[test]
