@@ -42,7 +42,7 @@
 
 use crate::collector::Collector;
 use crate::error::GcError;
-use crate::lisp2::{Lisp2Collector, Premark};
+use crate::lisp2::{scan_object, Lisp2Collector, Premark};
 use crate::stats::{GcCycleStats, GcLog};
 use svagc_heap::{Heap, HeapError, MarkBitmap, ObjRef, RootSet, SatbBuffer};
 use svagc_kernel::{CoreId, Kernel};
@@ -180,15 +180,8 @@ impl ConcurrentCollector {
             let Some(obj) = m.gray.pop() else {
                 break;
             };
-            let (hdr, ht) = heap.read_header(kernel, core, obj)?;
-            t += ht;
-            for i in 0..hdr.num_refs as u64 {
-                let (tgt, tc) = heap.read_ref(kernel, core, obj, i)?;
-                t += tc;
-                if !tgt.is_null() && heap.contains(tgt.0) && m.bitmap.mark(tgt.header_va()) {
-                    m.gray.push(tgt);
-                }
-            }
+            let in_heap = |va| heap.contains(va);
+            t += scan_object(kernel, heap, core, obj, &mut m.bitmap, in_heap, &mut m.gray)?;
         }
         m.concurrent_cycles += t;
         Ok(m.gray.is_empty())
@@ -228,15 +221,8 @@ impl ConcurrentCollector {
         }
         // Complete the trace from everything gray.
         while let Some(obj) = m.gray.pop() {
-            let (hdr, ht) = heap.read_header(kernel, core, obj)?;
-            drain += ht;
-            for i in 0..hdr.num_refs as u64 {
-                let (tgt, tc) = heap.read_ref(kernel, core, obj, i)?;
-                drain += tc;
-                if !tgt.is_null() && heap.contains(tgt.0) && m.bitmap.mark(tgt.header_va()) {
-                    m.gray.push(tgt);
-                }
-            }
+            let in_heap = |va| heap.contains(va);
+            drain += scan_object(kernel, heap, core, obj, &mut m.bitmap, in_heap, &mut m.gray)?;
         }
         // Allocation watermark: objects born after the snapshot are live
         // this cycle regardless of reachability. Their fields only ever
@@ -282,15 +268,8 @@ impl ConcurrentCollector {
         let init_pause = INIT_MARK_ROOT_COST * slots.max(1);
         let mut concurrent = Cycles::ZERO;
         while let Some(obj) = gray.pop() {
-            let (hdr, ht) = heap.read_header(kernel, core, obj)?;
-            concurrent += ht;
-            for i in 0..hdr.num_refs as u64 {
-                let (tgt, tc) = heap.read_ref(kernel, core, obj, i)?;
-                concurrent += tc;
-                if !tgt.is_null() && heap.contains(tgt.0) && bitmap.mark(tgt.header_va()) {
-                    gray.push(tgt);
-                }
-            }
+            let in_heap = |va| heap.contains(va);
+            concurrent += scan_object(kernel, heap, core, obj, &mut bitmap, in_heap, &mut gray)?;
         }
         // Drain the window's deletion-barrier log. The trace above is
         // already complete over the current heap, so every snapshot-live

@@ -35,153 +35,71 @@ pub enum CollectorKind {
 }
 
 impl CollectorKind {
-    /// Instantiate the collector.
-    pub fn build(&self, gc_threads: usize) -> Box<dyn Collector> {
-        self.build_verified(gc_threads, false)
-    }
-
-    /// Instantiate the collector, optionally with post-phase heap
-    /// verification (LISP2-based collectors only; the baseline wrappers
-    /// keep their own fixed configurations).
-    pub fn build_verified(&self, gc_threads: usize, verify_phases: bool) -> Box<dyn Collector> {
-        self.build_configured(
-            gc_threads,
-            verify_phases,
-            None,
-            DegradePolicy::off(),
-            None,
-            SchedulerKind::Barrier,
-            0,
-        )
-    }
-
-    /// The resolved LISP2 configuration of this kind, or `None` for the
-    /// baseline wrappers (which keep their own fixed configurations and
-    /// ignore the transactional knobs).
-    #[allow(clippy::too_many_arguments)]
-    fn lisp2_config(
-        &self,
-        gc_threads: usize,
-        verify_phases: bool,
-        deadline_cycles: Option<u64>,
-        degrade: DegradePolicy,
-        retry: Option<RetryPolicy>,
-        scheduler: SchedulerKind,
-        core_base: usize,
-    ) -> Option<GcConfig> {
-        let with_retry = |cfg: GcConfig| match retry {
-            Some(r) => cfg.with_retry_policy(r),
-            None => cfg,
-        };
+    /// Instantiate the collector for a run with `cfg`'s run-level knobs:
+    /// worker count, post-phase verification, watchdog deadline,
+    /// degraded-mode policy, SwapVA retry-policy override, scheduling
+    /// policy and core-affinity base. With `cfg.concurrent`, LISP2-based
+    /// kinds get SATB concurrent marking ([`ConcurrentCollector`] around
+    /// the same configuration) and Shenandoah arms its SATB barrier so its
+    /// final-mark pause charge is proportional to logged work. The
+    /// baseline wrappers (ParallelGC, Shenandoah) keep their own fixed
+    /// configurations and ignore the transactional knobs; ParallelGC has
+    /// no concurrent mode.
+    pub fn build(&self, cfg: &RunConfig) -> Box<dyn Collector> {
+        let threads = cfg.gc_threads;
         match self {
-            CollectorKind::Svagc => Some(with_retry(
-                GcConfig::svagc(gc_threads)
-                    .with_verify_phases(verify_phases)
-                    .with_deadline(deadline_cycles)
-                    .with_degrade(degrade)
-                    .with_scheduler(scheduler)
-                    .with_core_base(core_base),
-            )),
-            CollectorKind::SvagcMemmove => Some(with_retry(
-                GcConfig::lisp2_memmove(gc_threads)
-                    .with_verify_phases(verify_phases)
-                    .with_deadline(deadline_cycles)
-                    .with_degrade(degrade)
-                    .with_scheduler(scheduler)
-                    .with_core_base(core_base),
-            )),
-            CollectorKind::Custom(cfg) => Some(with_retry(
-                GcConfig {
-                    gc_threads,
-                    deadline_cycles: deadline_cycles.or(cfg.deadline_cycles),
-                    // The run-level knobs win only when explicitly set;
-                    // an ablation's Custom config keeps its own choices.
-                    scheduler: if scheduler == SchedulerKind::Barrier {
-                        cfg.scheduler
-                    } else {
-                        scheduler
-                    },
-                    core_base: if core_base == 0 { cfg.core_base } else { core_base },
-                    ..*cfg
-                }
-                .with_verify_phases(verify_phases || cfg.verify_phases)
-                .with_degrade(if degrade.enabled { degrade } else { cfg.degrade }),
-            )),
-            CollectorKind::ParallelGc | CollectorKind::Shenandoah => None,
-        }
-    }
-
-    /// Instantiate the collector with the full set of run-time knobs:
-    /// post-phase verification, per-phase watchdog deadline,
-    /// degraded-mode policy, (optionally) a SwapVA retry-policy
-    /// override, the scheduling substrate, and the core-affinity base.
-    /// The baseline wrappers (ParallelGC, Shenandoah) keep their own
-    /// fixed configurations and ignore the transactional knobs.
-    #[allow(clippy::too_many_arguments)]
-    pub fn build_configured(
-        &self,
-        gc_threads: usize,
-        verify_phases: bool,
-        deadline_cycles: Option<u64>,
-        degrade: DegradePolicy,
-        retry: Option<RetryPolicy>,
-        scheduler: SchedulerKind,
-        core_base: usize,
-    ) -> Box<dyn Collector> {
-        match self {
-            CollectorKind::ParallelGc => Box::new(ParallelGc::new(gc_threads)),
-            CollectorKind::Shenandoah => Box::new(Shenandoah::new(gc_threads)),
-            _ => Box::new(Lisp2Collector::new(
-                self.lisp2_config(
-                    gc_threads,
-                    verify_phases,
-                    deadline_cycles,
-                    degrade,
-                    retry,
-                    scheduler,
-                    core_base,
-                )
-                .expect("LISP2-based kind"),
-            )),
-        }
-    }
-
-    /// Instantiate the collector for a `--concurrent` run: LISP2-based
-    /// kinds get SATB concurrent marking ([`ConcurrentCollector`] wrapping
-    /// the same configuration `build_configured` would produce);
-    /// Shenandoah arms its SATB barrier so its final-mark pause charge is
-    /// proportional to logged work; ParallelGC has no concurrent mode and
-    /// builds unchanged.
-    #[allow(clippy::too_many_arguments)]
-    pub fn build_concurrent(
-        &self,
-        gc_threads: usize,
-        verify_phases: bool,
-        deadline_cycles: Option<u64>,
-        degrade: DegradePolicy,
-        retry: Option<RetryPolicy>,
-        scheduler: SchedulerKind,
-        core_base: usize,
-    ) -> Box<dyn Collector> {
-        match self {
-            CollectorKind::ParallelGc => Box::new(ParallelGc::new(gc_threads)),
+            CollectorKind::ParallelGc => Box::new(ParallelGc::new(threads)),
             CollectorKind::Shenandoah => {
-                let mut s = Shenandoah::new(gc_threads);
-                s.arm_satb();
+                let mut s = Shenandoah::new(threads);
+                if cfg.concurrent {
+                    s.arm_satb();
+                }
                 Box::new(s)
             }
-            _ => Box::new(ConcurrentCollector::new(Lisp2Collector::new(
-                self.lisp2_config(
-                    gc_threads,
-                    verify_phases,
-                    deadline_cycles,
-                    degrade,
-                    retry,
-                    scheduler,
-                    core_base,
-                )
-                .expect("LISP2-based kind"),
-            ))),
+            CollectorKind::Svagc | CollectorKind::SvagcMemmove | CollectorKind::Custom(_) => {
+                let gc = Lisp2Collector::new(self.lisp2_config(cfg));
+                if cfg.concurrent {
+                    Box::new(ConcurrentCollector::new(gc))
+                } else {
+                    Box::new(gc)
+                }
+            }
+        }
+    }
+
+    /// The resolved LISP2 configuration of a LISP2-based kind.
+    fn lisp2_config(&self, run: &RunConfig) -> GcConfig {
+        let cfg = match self {
+            CollectorKind::Svagc => GcConfig::svagc(run.gc_threads).with_degrade(run.degrade),
+            CollectorKind::SvagcMemmove => {
+                GcConfig::lisp2_memmove(run.gc_threads).with_degrade(run.degrade)
+            }
+            CollectorKind::Custom(cfg) => GcConfig {
+                gc_threads: run.gc_threads,
+                degrade: if run.degrade.enabled { run.degrade } else { cfg.degrade },
+                ..*cfg
+            },
+            CollectorKind::ParallelGc | CollectorKind::Shenandoah => {
+                unreachable!("baseline wrappers keep their own configurations")
+            }
+        };
+        // The run-level knobs win only when explicitly set; an ablation's
+        // Custom config keeps its own choices. (The named kinds start
+        // from the defaults, so for them the run-level value always wins.)
+        let cfg = GcConfig {
+            deadline_cycles: run.deadline_cycles.or(cfg.deadline_cycles),
+            scheduler: if run.scheduler == SchedulerKind::Barrier {
+                cfg.scheduler
+            } else {
+                run.scheduler
+            },
+            core_base: if run.core_base == 0 { cfg.core_base } else { run.core_base },
+            verify_phases: run.verify_phases || cfg.verify_phases,
+            ..cfg
+        };
+        match run.retry {
+            Some(r) => cfg.with_retry_policy(r),
+            None => cfg,
         }
     }
 
@@ -966,27 +884,7 @@ fn run_inner(
         let g: GcError = e.into();
         Box::new(RunFailure { kind: classify(&g), message: g.to_string() })
     })?;
-    let collector = if cfg.concurrent {
-        cfg.collector.build_concurrent(
-            cfg.gc_threads,
-            cfg.verify_phases,
-            cfg.deadline_cycles,
-            cfg.degrade,
-            cfg.retry,
-            cfg.scheduler,
-            cfg.core_base,
-        )
-    } else {
-        cfg.collector.build_configured(
-            cfg.gc_threads,
-            cfg.verify_phases,
-            cfg.deadline_cycles,
-            cfg.degrade,
-            cfg.retry,
-            cfg.scheduler,
-            cfg.core_base,
-        )
-    };
+    let collector = cfg.collector.build(cfg);
     if cfg.fault_rate > 0.0 {
         let fc = if cfg.fault_permanent_only {
             FaultConfig::permanent_only(cfg.fault_rate, cfg.fault_seed)

@@ -7,7 +7,7 @@ use svagc_heap::{Heap, HeapConfig, ObjShape};
 use svagc_kernel::{DeviceFaultConfig, DeviceFaultPlan, FarDevice, FarTier, Kernel, RetryPolicy};
 use svagc_metrics::MachineConfig;
 use svagc_vmem::Asid;
-use svagc_workloads::{CollectorKind, JvmEnv};
+use svagc_workloads::{CollectorKind, JvmEnv, RunConfig};
 
 #[test]
 fn instrumented_stream_over_a_lost_far_page_fails_typed() {
@@ -20,7 +20,11 @@ fn instrumented_stream_over_a_lost_far_page_fails_typed() {
     )));
     kernel.set_far_tier(Some(FarTier::new(device, RetryPolicy::default())));
     let heap = Heap::new(&mut kernel, Asid(1), HeapConfig::new(1 << 20)).unwrap();
-    let mut env = JvmEnv::new(&mut kernel, heap, CollectorKind::Svagc.build(1));
+    let run = RunConfig {
+        gc_threads: 1,
+        ..RunConfig::new(CollectorKind::Svagc)
+    };
+    let mut env = JvmEnv::new(&mut kernel, heap, CollectorKind::Svagc.build(&run));
     let shape = ObjShape::data(1024);
     let obj = env.alloc(shape).unwrap();
     let bytes = shape.size_bytes();
