@@ -409,6 +409,48 @@ mod tests {
         assert!(err.is_operational(), "the transaction layer may retry this");
     }
 
+    /// Regression: a permanent fault on an aggregated batch's last
+    /// request, after the prefix swapped its PTEs, falls back to memmove
+    /// with no later swap to flush — so the faulting call itself must
+    /// shoot down the prefix's translations, or cores keep reading
+    /// through the dead entries.
+    #[test]
+    fn faulted_batch_flushes_its_applied_prefix() {
+        let (mut k, mut space, reqs) = setup(3);
+        k.set_tlb_oracle(true);
+        // A seed whose first two rolls pass and whose third faults.
+        let plan = |seed| FaultPlan::new(FaultConfig::permanent_only(0.3, seed));
+        let seed = (0u64..)
+            .find(|&seed| {
+                let mut p = plan(seed);
+                p.roll().is_none() && p.roll().is_none() && p.roll().is_some()
+            })
+            .unwrap();
+        k.set_fault_plan(Some(plan(seed)));
+        // Another core caches the prefix's translations.
+        let warm = CoreId(1);
+        for r in &reqs[..2] {
+            k.translate(&space, warm, r.a).unwrap();
+            k.translate(&space, warm, r.b).unwrap();
+        }
+        let tracked = SwapVaOptions {
+            flush: FlushMode::Tracked,
+            ..opts()
+        };
+        let out = execute_swaps(&mut k, &mut space, &reqs, tracked, CORE, true, &RetryPolicy::default())
+            .unwrap();
+        assert_eq!((out.batch_splits, out.fallback.as_slice()), (1, &[2][..]));
+        assert_all_applied(&k, &space, &reqs, &out);
+        for r in &reqs[..2] {
+            for va in [r.a, r.b] {
+                let (_, misses) = k.tlb_stats(warm);
+                k.translate(&space, warm, va).unwrap();
+                assert_eq!(k.tlb_stats(warm).1, misses + 1, "core 1 still caches {va:?}");
+            }
+        }
+        assert_eq!(k.tlb_oracle_stats().stale_hits, 0);
+    }
+
     #[test]
     fn unset_fallback_budget_changes_nothing() {
         let (mut k, mut space, reqs) = setup(16);

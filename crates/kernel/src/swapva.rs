@@ -198,9 +198,22 @@ impl Kernel {
                 self.crash_gate(CrashPoint::InsideBatchApply)
                     .map_err(|e| e.at_index(i))?;
             }
-            t += self
-                .swap_va_body(space, core, *req, opts)
-                .map_err(|e| e.add_spent(t).at_index(i))?;
+            match self.swap_va_body(space, core, *req, opts) {
+                Ok(c) => t += c,
+                Err(e @ SwapVaError::Fault { .. }) if i > 0 => {
+                    // Requests 0..i already swapped their PTEs: flush as
+                    // the completed call would have, or cores keep
+                    // translating through the dead entries when the
+                    // caller resumes (or falls back) without another
+                    // swap.
+                    let (ft, _) = self.flush_after_swap(core, space.asid(), opts.flush);
+                    if let Some(point) = self.crashed() {
+                        return Err(SwapVaError::Crashed { point });
+                    }
+                    return Err(e.add_spent(t + ft).at_index(i));
+                }
+                Err(e) => return Err(e.add_spent(t).at_index(i)),
+            }
         }
         self.crash_gate(CrashPoint::AfterBatchApply)?;
         let (ft, intf) = self.flush_after_swap(core, space.asid(), opts.flush);
