@@ -3,7 +3,7 @@
 //! and bucket overlap strictly beating the four-barrier pipeline on skewed
 //! work.
 
-use svagc_core::{GcConfig, Lisp2Collector, SchedulerKind};
+use svagc_core::{GcConfig, GcError, Lisp2Collector, SchedulerKind};
 use svagc_heap::{Heap, HeapConfig, HeapVerifier, ObjRef, ObjShape, RootSet};
 use svagc_kernel::{CoreId, Kernel};
 use svagc_metrics::MachineConfig;
@@ -237,5 +237,72 @@ fn packets_survive_repeated_cycles_with_verification() {
         let stats = gc.collect(&mut k, &mut h, &mut roots).unwrap();
         assert!(stats.live_objects > 0);
         assert_eq!(stats.verify_violations, 0);
+    }
+}
+
+#[test]
+fn mid_compaction_deadline_counts_the_phase_elapsed_time() {
+    // Regression: the packet policy's mid-compaction watchdog check used
+    // to compare only the current packet's own cost with the budget, so a
+    // deadline between the largest compact packet and the whole compact
+    // phase only expired at the phase-end check. The check compares the
+    // phase's elapsed time, so it must fire mid-phase, below the end value.
+    let cfg = GcConfig::svagc(4).with_scheduler(SchedulerKind::Packets);
+    // Compaction-dominated: rooted large objects sliding over garbage,
+    // each followed by a small one whose memmove is a mid-phase check.
+    let build = |k: &mut Kernel, h: &mut Heap, roots: &mut RootSet| {
+        for i in 0..48u64 {
+            alloc_stamped(k, h, ObjShape::data_bytes(3 * PAGE_SIZE), 700_000 + i);
+            let big = alloc_stamped(k, h, ObjShape::data_bytes(12 * PAGE_SIZE), i * 1_000);
+            roots.push(big);
+            roots.push(alloc_stamped(k, h, ObjShape::data(256), 900_000 + i));
+        }
+    };
+    let (mut k, mut h, mut roots) = setup(32 << 20);
+    k.set_tracing(true);
+    build(&mut k, &mut h, &mut roots);
+    let free = Lisp2Collector::new(cfg)
+        .collect(&mut k, &mut h, &mut roots)
+        .unwrap();
+    let phase = free.phases.compact;
+    let budget = phase.get() / 2;
+    for (name, c) in [
+        ("mark", free.phases.mark),
+        ("forward", free.phases.forward),
+        ("adjust", free.phases.adjust),
+    ] {
+        assert!(c.get() <= budget, "{name} {c} must fit the budget {budget}");
+    }
+    #[cfg(feature = "trace")]
+    {
+        use svagc_core::PacketKind;
+        use svagc_metrics::TraceKind;
+        let largest = k
+            .take_trace()
+            .iter()
+            .filter(|e| e.kind == TraceKind::Packet)
+            .filter(|e| e.arg("kind") == Some(PacketKind::CompactBatch.id()))
+            .filter_map(|e| e.dur)
+            .max()
+            .unwrap();
+        assert!(largest.get() <= budget, "largest packet {largest} > budget {budget}");
+    }
+
+    let (mut k, mut h, mut roots) = setup(32 << 20);
+    build(&mut k, &mut h, &mut roots);
+    let mut gc = Lisp2Collector::new(cfg.with_deadline(Some(budget)));
+    match gc.collect(&mut k, &mut h, &mut roots) {
+        Err(GcError::Deadline {
+            phase: "compact",
+            elapsed,
+            ..
+        }) => {
+            assert!(elapsed.get() > budget);
+            assert!(
+                elapsed < phase,
+                "expired only at the phase end ({elapsed} of {phase}), not mid-phase"
+            );
+        }
+        other => panic!("expected a compact-phase deadline, got {other:?}"),
     }
 }
