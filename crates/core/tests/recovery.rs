@@ -314,3 +314,57 @@ fn wal_logging_does_not_perturb_committed_heaps() {
     );
     assert_eq!(r1.snapshot(), r2.snapshot());
 }
+
+/// Frames mapped more than once in `heap`'s range (empty when the page
+/// table is a proper injection, as every swap and rotation keeps it).
+fn frames_mapped_twice(heap: &Heap) -> Vec<u64> {
+    let mut frames: Vec<u64> = (0..(heap.end() - heap.base()) / PAGE_SIZE)
+        .filter_map(|i| heap.space().page_table().pte(heap.base().add_pages(i)))
+        .filter(|pte| pte.present())
+        .map(|pte| pte.frame().0 as u64)
+        .collect();
+    frames.sort_unstable();
+    let mut twice: Vec<u64> = frames.windows(2).filter(|w| w[0] == w[1]).map(|w| w[0]).collect();
+    twice.dedup();
+    twice
+}
+
+#[test]
+fn torn_cycle_with_a_rotation_recovers_the_exact_mapping() {
+    // Garbage, then two live objects: compaction slides the 12-page one
+    // down by a disjoint swap and the 18-page one by an overlap rotation
+    // over a window that contains the first one's old pages. Crashing
+    // after the (aggregated) batch leaves both applied; undo must restore
+    // the rotation's mapping exactly before it reinstalls the swap's raw
+    // PTEs, or frames end up mapped twice and the heap is a hybrid.
+    let mut k = Kernel::with_bytes(MachineConfig::i5_7600(), 16 << 20);
+    k.set_wal_enabled(true);
+    k.set_tlb_oracle(true);
+    let mut h = Heap::new(&mut k, Asid(1), HeapConfig::new(8 << 20)).unwrap();
+    let mut roots = RootSet::new();
+    for (i, pages) in [12u64, 12, 18].into_iter().enumerate() {
+        let shape = ObjShape::data_bytes(pages * PAGE_SIZE);
+        let (obj, _) = h.alloc(&mut k, CORE, shape).unwrap();
+        for w in (0..shape.data_words as u64).step_by(61) {
+            h.write_data(&mut k, CORE, obj, 0, w, (i as u64) << 32 | w).unwrap();
+        }
+        if i > 0 {
+            roots.push(obj);
+        }
+    }
+    let pre_hash = HeapVerifier::new().content_hash(&k, &mut h);
+    k.set_crash_plans(vec![CrashPlan::nth(CrashPoint::AfterBatchApply, 1)]);
+    let mut gc = Lisp2Collector::new(GcConfig::svagc(1).with_verify_phases(true));
+    assert!(matches!(
+        gc.collect(&mut k, &mut h, &mut roots),
+        Err(GcError::Crashed {
+            point: CrashPoint::AfterBatchApply
+        })
+    ));
+    let space = h.into_space();
+    k.reboot();
+    let ok = recover(&mut k, space, CORE).unwrap_or_else(|f| panic!("{}", f.error));
+    assert_eq!(ok.report.class, CycleClass::Torn);
+    assert_eq!(ok.report.content_hash, pre_hash);
+    assert!(frames_mapped_twice(&ok.heap).is_empty(), "a frame is mapped twice");
+}
