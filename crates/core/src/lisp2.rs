@@ -22,7 +22,7 @@
 use crate::config::{GcConfig, SchedulerKind};
 use crate::degrade::DegradeController;
 use crate::error::GcError;
-use crate::journal::CompactionJournal;
+use crate::journal::{transact, Transactional};
 use crate::packets::{BarrierPhases, BatchDeps, PacketKind, PacketScheduler, Schedule};
 use crate::resilience::execute_swaps;
 use crate::stats::{GcCycleStats, GcLog};
@@ -78,6 +78,27 @@ pub struct Premark {
     pub concurrent_mark: Cycles,
     /// SATB deletion-barrier entries drained at final mark.
     pub satb_logged: u64,
+}
+
+impl Transactional for Lisp2Collector {
+    type Heap = Heap;
+
+    fn journaled(heap: &mut Heap) -> &mut Heap {
+        heap
+    }
+
+    fn degrade(&mut self) -> &mut DegradeController {
+        &mut self.degrade
+    }
+
+    fn timeline(&self, _kernel: &Kernel) -> Cycles {
+        self.timeline
+    }
+
+    fn set_timeline(&mut self, kernel: &mut Kernel, at: Cycles) {
+        self.timeline = at;
+        kernel.trace.set_base(at);
+    }
 }
 
 /// Trace one object on `core`: read its header and reference fields and
@@ -201,7 +222,8 @@ impl Lisp2Collector {
     /// Run one full STW collection as a **transaction**. Returns this
     /// cycle's statistics (also appended to [`Lisp2Collector::log`]).
     ///
-    /// Every attempt is bracketed by a [`CompactionJournal`]: on any error
+    /// Every attempt is bracketed by a
+    /// [`CompactionJournal`](crate::journal::CompactionJournal): on any error
     /// the attempt's swaps, copies, and metadata writes are rolled back so
     /// the heap is bit-for-bit the pre-GC heap. Operational errors (an
     /// unrecoverable SwapVA fault, a watchdog deadline) then escalate the
@@ -231,7 +253,6 @@ impl Lisp2Collector {
         roots: &mut RootSet,
         premark: Option<&Premark>,
     ) -> Result<GcCycleStats, GcError> {
-        let core0 = CoreId(0);
         // The concurrent trace happened before this pause on the virtual
         // timeline; emit its span once (attempt retries restart after it).
         if let Some(pm) = premark {
@@ -248,137 +269,39 @@ impl Lisp2Collector {
             }
         }
         let user_cfg = self.cfg;
-        let mut aborts = 0u64;
-        let mut watchdog_expiries = 0u64;
-        let mut rollback_pages = 0u64;
-        let mut abort_overhead = Cycles::ZERO;
-        loop {
-            let attempt_start = self.timeline;
-            let effective = self.degrade.apply(&user_cfg);
-            let txn = CompactionJournal::begin(kernel, heap, roots, user_cfg.verify_phases);
-            let pre_hash = txn.pre_hash();
+        let attempt = |gc: &mut Self, kernel: &mut Kernel, heap: &mut Heap, roots: &mut RootSet| {
             let mut stats = GcCycleStats::default();
             // The phase methods read `self.cfg`; swap in the (possibly
             // degraded) effective config for the duration of the attempt.
-            self.cfg = effective;
+            let effective = gc.degrade.apply(&user_cfg);
+            gc.cfg = effective;
             let cores = kernel.cores();
             let threads = effective.gc_threads.min(cores).max(1);
-            let (base, origin) = (effective.core_base, self.timeline);
-            let attempt = match effective.scheduler {
+            let (base, origin) = (effective.core_base, gc.timeline);
+            let outcome = match effective.scheduler {
                 SchedulerKind::Barrier => {
                     let stealing = effective.work_stealing;
                     let sched = BarrierPhases::new(threads, cores, base, stealing, origin);
-                    self.try_collect(sched, kernel, heap, roots, &mut stats, premark)
+                    gc.try_collect(sched, kernel, heap, roots, &mut stats, premark)
                 }
                 SchedulerKind::Packets => {
                     let sched = PacketScheduler::new(threads, cores, base, origin);
-                    self.try_collect(sched, kernel, heap, roots, &mut stats, premark)
+                    gc.try_collect(sched, kernel, heap, roots, &mut stats, premark)
                 }
             };
-            self.cfg = user_cfg;
-            match attempt {
-                Ok(()) => {
-                    txn.commit(kernel, heap, roots);
-                    stats.aborts = aborts;
-                    stats.watchdog_expiries = watchdog_expiries;
-                    stats.rollback_pages = rollback_pages;
-                    stats.abort_overhead = abort_overhead;
-                    stats.mode = self.degrade.mode().level();
-                    if let Some(t) = self.degrade.on_clean() {
-                        kernel.trace.instant(
-                            TraceKind::ModeChange,
-                            Cycles::ZERO,
-                            0,
-                            &[("from", t.from.level() as u64), ("to", t.to.level() as u64)],
-                        );
-                    }
-                    self.log.push(stats);
-                    return Ok(stats);
-                }
-                Err(e) => {
-                    // A seeded crash is not an abort: the machine is dead,
-                    // so no code runs to roll anything back. Leave the undo
-                    // journal armed and the WAL epoch open — exactly the
-                    // torn state crash recovery expects in the durable log.
-                    if let Some(point) = e.crash_point() {
-                        return Err(GcError::Crashed { point });
-                    }
-                    // Roll back memory, page tables, heap index, roots.
-                    let rb = txn.abort(kernel, heap, roots, core0)?;
-                    aborts += 1;
-                    rollback_pages += rb.pages;
-                    if matches!(e, GcError::Deadline { .. }) {
-                        watchdog_expiries += 1;
-                    }
-                    // The aborted attempt and its rollback burned real
-                    // virtual time: it is part of this cycle's pause.
-                    let attempt_cost = stats.phases.total() + rb.cycles;
-                    abort_overhead += attempt_cost;
-                    self.timeline = attempt_start + attempt_cost;
-                    kernel.trace.set_base(self.timeline);
-                    kernel.trace.instant(
-                        TraceKind::CycleAbort,
-                        Cycles::ZERO,
-                        0,
-                        &[
-                            ("attempt", aborts),
-                            ("mode", self.degrade.mode().level() as u64),
-                            ("rollback_ops", rb.ops as u64),
-                            ("rollback_pages", rb.pages),
-                        ],
-                    );
-                    // Prove the rollback before touching anything else:
-                    // bit-for-bit content, clean layout and boundaries.
-                    if user_cfg.verify_phases {
-                        let verifier = HeapVerifier::new();
-                        let post = verifier.content_hash(kernel, heap);
-                        if Some(post) != pre_hash {
-                            return Err(GcError::Corruption {
-                                phase: "rollback",
-                                violations: 1,
-                                first: format!(
-                                    "post-rollback content hash {post:#018x} != pre-GC {:#018x}",
-                                    pre_hash.unwrap_or(0)
-                                ),
-                            });
-                        }
-                        Self::require_clean(verifier.verify_layout(kernel, heap), &mut stats)?;
-                        Self::require_clean(verifier.verify_boundaries(kernel, heap), &mut stats)?;
-                    }
-                    // Operational failures walk the degradation ladder and
-                    // retry; anything else — or an exhausted ladder —
-                    // propagates (heap already restored).
-                    let escalation = if e.is_operational() {
-                        self.degrade.on_abort()
-                    } else {
-                        None
-                    };
-                    match escalation {
-                        Some(t) => {
-                            kernel.trace.instant(
-                                TraceKind::ModeChange,
-                                Cycles::ZERO,
-                                0,
-                                &[("from", t.from.level() as u64), ("to", t.to.level() as u64)],
-                            );
-                        }
-                        None => {
-                            // An operational error that found the ladder
-                            // already on its last rung is a distinct outcome
-                            // for the driver: the collector did not merely
-                            // fail, it ran out of fallbacks.
-                            return Err(
-                                if e.is_operational() && self.degrade.policy().enabled {
-                                    GcError::Exhausted(Box::new(e))
-                                } else {
-                                    e
-                                },
-                            );
-                        }
-                    }
-                }
-            }
-        }
+            gc.cfg = user_cfg;
+            // A failed attempt burned the phases it completed.
+            outcome.map(|()| stats).map_err(|e| (e, stats.phases.total()))
+        };
+        let (mut stats, retries) =
+            transact(self, kernel, heap, roots, user_cfg.verify_phases, attempt)?;
+        stats.aborts = retries.aborts;
+        stats.watchdog_expiries = retries.watchdog_expiries;
+        stats.rollback_pages = retries.rollback_pages;
+        stats.abort_overhead = retries.overhead;
+        stats.mode = retries.mode;
+        self.log.push(stats);
+        Ok(stats)
     }
 
     /// One collection attempt under placement policy `S` (no transaction

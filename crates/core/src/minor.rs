@@ -22,12 +22,12 @@
 use crate::config::SchedulerKind;
 use crate::degrade::{DegradeController, DegradePolicy};
 use crate::error::GcError;
-use crate::journal::CompactionJournal;
+use crate::journal::{transact, Transactional};
 use crate::lisp2::{seed_roots, trace_closure};
 use crate::packets::{BarrierPhases, BatchDeps, PacketKind, PacketScheduler, Schedule};
 use crate::resilience::{execute_swaps, RetryPolicy};
 use crate::watchdog::GcWatchdog;
-use svagc_heap::{GenHeap, HeapError, MarkBitmap, ObjRef, RootSet, CARD_BYTES};
+use svagc_heap::{GenHeap, Heap, HeapError, MarkBitmap, ObjRef, RootSet, CARD_BYTES};
 use svagc_kernel::{CoreId, FlushMode, Kernel, SwapBatch, SwapRequest, SwapVaOptions};
 use svagc_metrics::{Cycles, TraceKind};
 use svagc_vmem::{VirtAddr, PAGE_SIZE};
@@ -98,7 +98,8 @@ impl MinorConfig {
 /// Statistics of one scavenge.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MinorStats {
-    /// STW pause (cycles).
+    /// STW pause (cycles), including time lost to aborted attempts and
+    /// their rollbacks.
     pub pause: Cycles,
     /// Young objects found live and promoted.
     pub promoted_objects: u64,
@@ -149,6 +150,27 @@ pub struct MinorGc {
     pub degrade: DegradeController,
 }
 
+impl Transactional for MinorGc {
+    type Heap = GenHeap;
+
+    fn journaled(gh: &mut GenHeap) -> &mut Heap {
+        &mut gh.old
+    }
+
+    fn degrade(&mut self) -> &mut DegradeController {
+        &mut self.degrade
+    }
+
+    /// Scavenges stack on the trace timeline itself.
+    fn timeline(&self, kernel: &Kernel) -> Cycles {
+        kernel.trace.base()
+    }
+
+    fn set_timeline(&mut self, kernel: &mut Kernel, at: Cycles) {
+        kernel.trace.set_base(at);
+    }
+}
+
 impl MinorGc {
     /// A scavenger with the given configuration.
     ///
@@ -193,95 +215,40 @@ impl MinorGc {
         gh: &mut GenHeap,
         roots: &mut RootSet,
     ) -> Result<MinorStats, GcError> {
-        let core0 = CoreId(0);
         let user_cfg = self.cfg;
-        let mut aborts = 0u64;
-        let mut rollback_pages = 0u64;
-        loop {
-            let effective = self.degrade.apply_minor(&user_cfg);
-            let txn = CompactionJournal::begin(kernel, &mut gh.old, roots, false);
-            self.cfg = effective;
+        let attempt = |gc: &mut Self, kernel: &mut Kernel, gh: &mut GenHeap, roots: &mut RootSet| {
+            let effective = gc.degrade.apply_minor(&user_cfg);
+            gc.cfg = effective;
             // Scavenger workers always balance greedily.
             let cores = kernel.cores();
             let threads = effective.gc_threads.min(cores).max(1);
             let (base, origin) = (effective.core_base, kernel.trace.base());
-            let attempt = match effective.scheduler {
+            // A failed attempt burned everything its schedule placed.
+            let outcome = match effective.scheduler {
                 SchedulerKind::Barrier => {
-                    let sched = BarrierPhases::new(threads, cores, base, true, origin);
-                    self.try_collect(sched, kernel, gh, roots)
+                    let mut sched = BarrierPhases::new(threads, cores, base, true, origin);
+                    let r = gc.try_collect(&mut sched, kernel, gh, roots);
+                    r.map_err(|e| (e, sched.milestone()))
                 }
                 SchedulerKind::Packets => {
-                    let sched = PacketScheduler::new(threads, cores, base, origin);
-                    self.try_collect(sched, kernel, gh, roots)
+                    let mut sched = PacketScheduler::new(threads, cores, base, origin);
+                    let r = gc.try_collect(&mut sched, kernel, gh, roots);
+                    r.map_err(|e| (e, sched.milestone()))
                 }
             };
-            self.cfg = user_cfg;
-            match attempt {
-                Ok(mut stats) => {
-                    txn.commit(kernel, &mut gh.old, roots);
-                    stats.aborts = aborts;
-                    stats.rollback_pages = rollback_pages;
-                    stats.mode = self.degrade.mode().level();
-                    if let Some(t) = self.degrade.on_clean() {
-                        kernel.trace.instant(
-                            TraceKind::ModeChange,
-                            Cycles::ZERO,
-                            0,
-                            &[("from", t.from.level() as u64), ("to", t.to.level() as u64)],
-                        );
-                    }
-                    // Success: only now is eden wiped (and with it the
-                    // remembered set — no young objects remain).
-                    gh.reset_eden();
-                    self.log.push(stats);
-                    return Ok(stats);
-                }
-                Err(e) => {
-                    // A seeded crash bypasses rollback entirely: the undo
-                    // journal and WAL epoch stay open for crash recovery.
-                    if let Some(point) = e.crash_point() {
-                        return Err(GcError::Crashed { point });
-                    }
-                    let rb = txn.abort(kernel, &mut gh.old, roots, core0)?;
-                    aborts += 1;
-                    rollback_pages += rb.pages;
-                    kernel.trace.instant(
-                        TraceKind::CycleAbort,
-                        Cycles::ZERO,
-                        0,
-                        &[
-                            ("attempt", aborts),
-                            ("mode", self.degrade.mode().level() as u64),
-                            ("rollback_pages", rb.pages),
-                        ],
-                    );
-                    let escalation = if e.is_operational() {
-                        self.degrade.on_abort()
-                    } else {
-                        None
-                    };
-                    match escalation {
-                        Some(t) => {
-                            kernel.trace.instant(
-                                TraceKind::ModeChange,
-                                Cycles::ZERO,
-                                0,
-                                &[("from", t.from.level() as u64), ("to", t.to.level() as u64)],
-                            );
-                        }
-                        None => {
-                            return Err(
-                                if e.is_operational() && self.degrade.policy().enabled {
-                                    GcError::Exhausted(Box::new(e))
-                                } else {
-                                    e
-                                },
-                            );
-                        }
-                    }
-                }
-            }
-        }
+            gc.cfg = user_cfg;
+            outcome
+        };
+        let (mut stats, retries) = transact(self, kernel, gh, roots, false, attempt)?;
+        // Success: only now is eden wiped (and with it the remembered set
+        // — no young objects remain).
+        gh.reset_eden();
+        stats.aborts = retries.aborts;
+        stats.rollback_pages = retries.rollback_pages;
+        stats.pause += retries.overhead;
+        stats.mode = retries.mode;
+        self.log.push(stats);
+        Ok(stats)
     }
 
     /// One scavenge attempt under placement policy `S` (no transaction
@@ -299,7 +266,7 @@ impl MinorGc {
     /// completed.
     fn try_collect<S: Schedule>(
         &mut self,
-        mut sched: S,
+        sched: &mut S,
         kernel: &mut Kernel,
         gh: &mut GenHeap,
         roots: &mut RootSet,
@@ -319,7 +286,7 @@ impl MinorGc {
         // their discovery time.
         let mut old_slots: Vec<(ObjRef, u64)> = Vec::new();
         let in_young = |va: VirtAddr| va >= eden_base && va < eden_end;
-        let mut stack = seed_roots(kernel, roots, &mut bitmap, &mut sched, in_young);
+        let mut stack = seed_roots(kernel, roots, &mut bitmap, sched, in_young);
         // Scan dirty cards: find old objects overlapping each card and
         // inspect their reference fields.
         let dirty: Vec<VirtAddr> = gh.cards.iter_dirty().collect();
@@ -384,7 +351,7 @@ impl MinorGc {
             kernel,
             &gh.old,
             &mut bitmap,
-            &mut sched,
+            sched,
             &mut stack,
             PacketKind::MinorChunk,
             in_young,

@@ -4,7 +4,7 @@
 //! surviving state is what the machine model calls durable: physical
 //! memory, page tables, and the write-ahead log
 //! ([`svagc_kernel::WriteAheadLog`]). Everything the collector knew —
-//! the heap object index, the root set, the in-memory undo journal — is
+//! the heap object index, the root set, the live undo epoch — is
 //! gone. [`recover`] is the restart path: scan the log, classify the
 //! cycles it records, undo whatever a torn cycle half-applied, and hand
 //! back a heap whose content is **bit-identical** to either the
@@ -26,14 +26,18 @@
 //! commit or abort record went missing, and recovery refuses the log
 //! outright rather than guess ([`RecoveryError::BadLog`]).
 //!
-//! Recovery is itself crash-safe: undo records are idempotent absolute
-//! pre-images, so a crash *inside recovery* (the double-crash case,
+//! The undo pass is [`Kernel::undo`] — the same function an in-process
+//! abort runs over the live epoch — applied to the torn epoch's logged
+//! intents. Recovery is itself crash-safe: undo records are idempotent
+//! absolute pre-images, so a crash *inside recovery* (the double-crash case,
 //! [`svagc_kernel::CrashPoint::InsideRecovery`]) leaves a log the next
 //! recovery attempt can replay from scratch.
 
 use crate::error::GcError;
 use svagc_heap::{Heap, HeapConfig, HeapStats, HeapVerifier, ObjRef, RootSet};
-use svagc_kernel::{CoreId, CrashPoint, Kernel, TierError, WalOp, WalPayload, TIER_EPOCH};
+use svagc_kernel::{
+    CoreId, CrashPoint, Kernel, RollbackError, TierError, WalOp, WalPayload, TIER_EPOCH,
+};
 use svagc_metrics::{Cycles, TraceKind};
 use svagc_vmem::{AddressSpace, VirtAddr};
 
@@ -386,7 +390,7 @@ fn fold_epochs(records: &[svagc_kernel::WalRecord]) -> Result<Vec<EpochState>, R
                     ))
                 })?;
                 match other {
-                    WalPayload::Intent(op) => cur.intents.push(op.clone()),
+                    WalPayload::Intent(op) => cur.intents.push(*op),
                     WalPayload::Commit { meta } => {
                         cur.commit = Some(CycleMeta::decode(meta).ok_or_else(|| {
                             RecoveryError::BadLog(format!(
@@ -493,31 +497,24 @@ pub fn recover(
     };
 
     if class == CycleClass::Torn {
-        // Undo the intents in reverse. Pre-images are absolute, so this
-        // pass is idempotent: it is safe when the final logged intent was
-        // never applied, safe after a partial in-process rollback, and
-        // safe to re-run wholesale after a crash inside recovery.
-        for op in last.intents.iter().rev() {
-            if kernel.crash_fire(CrashPoint::InsideRecovery) {
+        // The undo pass in-process abort runs too, over the logged
+        // intents. Pre-images are absolute, so it is idempotent: safe when
+        // the final logged intent was never applied, safe after a partial
+        // in-process rollback, and safe to re-run wholesale after a crash
+        // inside recovery.
+        let point = CrashPoint::InsideRecovery;
+        match kernel.undo(&mut space, &last.intents, &scan.preimages, point) {
+            Ok((c, pages)) => {
+                cycles += c;
+                undone_pages = pages;
+                undone_ops = last.intents.len();
+            }
+            Err(RollbackError::Crashed) => return fail(space, RecoveryError::Crashed { point }),
+            Err(RollbackError::Vm(e)) => {
                 return fail(
                     space,
-                    RecoveryError::Crashed {
-                        point: CrashPoint::InsideRecovery,
-                    },
-                );
-            }
-            match kernel.wal_undo_op(&mut space, op) {
-                Ok((c, pages)) => {
-                    cycles += c;
-                    undone_pages += pages;
-                    undone_ops += 1;
-                }
-                Err(e) => {
-                    return fail(
-                        space,
-                        RecoveryError::BadLog(format!("undo of a logged intent failed: {e}")),
-                    )
-                }
+                    RecoveryError::BadLog(format!("undo of a logged intent failed: {e}")),
+                )
             }
         }
     }

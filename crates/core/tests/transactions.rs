@@ -19,7 +19,7 @@ use svagc_core::{DegradePolicy, DegradedMode, GcConfig, GcError, Lisp2Collector,
                 MinorGc, RetryPolicy};
 use svagc_heap::{GenHeap, Heap, HeapConfig, HeapVerifier, ObjRef, ObjShape, RootSet};
 use svagc_kernel::{CoreId, FaultConfig, FaultPlan, Kernel};
-use svagc_metrics::{MachineConfig, SimRng};
+use svagc_metrics::{MachineConfig, SimRng, TraceKind};
 use svagc_vmem::{Asid, PAGE_SIZE};
 
 const CORE: CoreId = CoreId(0);
@@ -305,4 +305,66 @@ fn minor_need_gc_propagates_through_the_transaction() {
         DegradedMode::Normal,
         "structural errors do not trip the breaker"
     );
+}
+
+/// A scavenge pays for its aborted attempts (DESIGN.md §8.1): the
+/// reported pause covers the failed attempt and its rollback on top of
+/// the committed one, and the committed attempt starts after them on the
+/// GC timeline.
+#[test]
+fn minor_aborted_attempts_are_part_of_the_pause() {
+    let build = |k: &mut Kernel| -> (GenHeap, RootSet) {
+        let mut gh = GenHeap::new(k, Asid(1), 64 << 20, 8 << 20, 10).unwrap();
+        let mut roots = RootSet::new();
+        for i in 0..10u64 {
+            let shape = ObjShape::data_bytes(12 * PAGE_SIZE);
+            let (obj, _) = gh.alloc_young(k, CORE, shape).unwrap();
+            gh.old.write_data(k, CORE, obj, 0, 0, 0x700 + i).unwrap();
+            if i % 2 == 0 {
+                roots.push(obj);
+            }
+        }
+        (gh, roots)
+    };
+    // The committed attempt alone: the degraded (memmove-only) scavenge.
+    let mut rk = Kernel::with_bytes(MachineConfig::i5_7600(), 96 << 20);
+    let (mut rgh, mut rroots) = build(&mut rk);
+    let degraded = MinorConfig {
+        use_swapva: false,
+        aggregation: None,
+        ..MinorConfig::svagc(4)
+    };
+    let committed = MinorGc::new(degraded)
+        .collect(&mut rk, &mut rgh, &mut rroots)
+        .unwrap()
+        .pause;
+
+    let mut k = Kernel::with_bytes(MachineConfig::i5_7600(), 96 << 20);
+    k.set_tracing(true);
+    let (mut gh, mut roots) = build(&mut k);
+    k.set_fault_plan(Some(FaultPlan::new(permanent_only(1.0, 21))));
+    let mut minor = MinorGc::new(MinorConfig {
+        retry: strict_retry(),
+        degrade: DegradePolicy::standard(),
+        ..MinorConfig::svagc(4)
+    });
+    let stats = minor.collect(&mut k, &mut gh, &mut roots).unwrap();
+    assert_eq!(stats.aborts, 1, "the first attempt aborted");
+    // The aborted attempt re-ran the trace, forward and adjust phases the
+    // committed one runs, so it costs well over half of it.
+    assert!(
+        stats.pause > committed + committed / 2,
+        "pause {} must include the aborted attempt beyond the committed {committed}",
+        stats.pause
+    );
+    let events = k.take_trace();
+    if let Some(span) = events.iter().find(|e| e.kind == TraceKind::MinorCycle) {
+        let abort = events.iter().find(|e| e.kind == TraceKind::CycleAbort).unwrap();
+        assert!(abort.arg("rollback_ops").unwrap() > 0);
+        assert_eq!(
+            span.ts + span.dur.unwrap(),
+            stats.pause,
+            "the committed attempt follows the aborted one on the timeline"
+        );
+    }
 }

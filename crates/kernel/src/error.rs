@@ -119,23 +119,17 @@ impl std::error::Error for SwapVaError {
     }
 }
 
-/// Failure of an undo-journal [`crate::Kernel::rollback`].
+/// Failure of an undo pass ([`crate::Kernel::undo`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RollbackError {
     /// Structural error from the memory model while restoring.
     Vm(VmError),
-    /// A seeded [`CrashPoint::MidRollback`] fired mid-restore: the machine
-    /// died again while undoing. The journal's epoch stays unresolved in
-    /// the write-ahead log; recovery finishes the undo after restart.
+    /// The pass's seeded crash point ([`CrashPoint::MidRollback`] on
+    /// abort, [`CrashPoint::InsideRecovery`] in recovery) fired
+    /// mid-restore: the machine died again while undoing. A durable
+    /// epoch stays unresolved in the write-ahead log; recovery finishes
+    /// the undo after restart.
     Crashed,
-    /// This journal was already replayed once. Rollback is intentionally
-    /// not idempotent at the API level — the undo ops themselves would
-    /// re-corrupt restored state (a second `PteSwap` replay re-swaps) — so
-    /// the kernel retires journal ids and rejects replays outright.
-    Replayed {
-        /// The retired journal's id.
-        id: u64,
-    },
 }
 
 impl From<VmError> for RollbackError {
@@ -149,10 +143,7 @@ impl fmt::Display for RollbackError {
         match self {
             RollbackError::Vm(e) => write!(f, "{e}"),
             RollbackError::Crashed => {
-                write!(f, "machine crashed at seeded crash point mid-rollback")
-            }
-            RollbackError::Replayed { id } => {
-                write!(f, "undo journal {id} was already replayed; refusing to reapply")
+                write!(f, "machine crashed at a seeded crash point mid-undo")
             }
         }
     }
@@ -162,7 +153,7 @@ impl std::error::Error for RollbackError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             RollbackError::Vm(e) => Some(e),
-            _ => None,
+            RollbackError::Crashed => None,
         }
     }
 }

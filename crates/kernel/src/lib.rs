@@ -21,10 +21,13 @@
 //!   surface as typed [`SwapVaError`]s that carry the cycles burned. Also
 //!   home of seeded [`fault::CrashPoint`]s, which kill the simulated
 //!   machine outright instead of returning an errno.
-//! * [`wal`] — the durable write-ahead journal for PTE-mutating ops:
-//!   intent records become durable *before* their mutations apply, so a
-//!   crash at any point leaves a log from which recovery can restore a
-//!   bit-exact pre- or post-cycle heap (never a hybrid).
+//! * [`wal`] — the undo log: each GC-cycle mutation records one
+//!   absolute pre-image before it applies, and one undo pass
+//!   ([`Kernel::undo`]) serves both in-process abort and crash recovery.
+//!   Epochs are volatile unless the log is armed; then the same records
+//!   become durable write-ahead intents, so a crash at any point leaves a
+//!   log from which recovery can restore a bit-exact pre- or post-cycle
+//!   heap (never a hybrid).
 //!
 //! All operations return the [`svagc_metrics::Cycles`] consumed so callers
 //! attribute time to the right simulated core.
@@ -35,7 +38,6 @@ pub mod batch;
 pub mod device;
 pub mod error;
 pub mod fault;
-pub mod journal;
 pub mod memmove;
 pub mod overlap;
 pub mod retry;
@@ -52,11 +54,13 @@ pub use device::{
 };
 pub use error::{RollbackError, SwapVaError};
 pub use fault::{CrashPlan, CrashPoint, FaultConfig, FaultKind, FaultPlan};
-pub use journal::{OpJournal, UndoOp};
 pub use overlap::gcd;
 pub use retry::RetryPolicy;
 pub use shootdown::{FlushMode, Interference};
 pub use state::{CoreId, Kernel};
 pub use swapva::{SwapRequest, SwapVaOptions};
 pub use tier::{FarTier, TierError, TierStats};
-pub use wal::{WalMutation, WalOp, WalPayload, WalRecord, WalScan, WalStats, WriteAheadLog, TIER_EPOCH};
+pub use wal::{
+    Preimages, WalMutation, WalOp, WalPayload, WalRecord, WalScan, WalStats, WriteAheadLog,
+    TIER_EPOCH,
+};

@@ -8,6 +8,7 @@
 //! but the *timing* stays bandwidth-modeled to avoid double counting.
 
 use crate::state::{CoreId, Kernel};
+use crate::wal::WalOp;
 use svagc_metrics::{AccessKind, Cycles, TraceKind};
 use svagc_vmem::{AddressSpace, VirtAddr, VmError};
 
@@ -38,19 +39,16 @@ impl Kernel {
             }
         }
 
-        // The copy destroys the destination; journal its bytes first so an
-        // aborting GC cycle can restore them (see `crate::journal`), and
-        // write the same pre-image ahead to the durable log so a crashed
-        // cycle can restore them after a restart (see `crate::wal`).
-        if self.wal_cycle_open() {
-            let mut pre = vec![0u8; len as usize];
-            self.vmem.read_bytes(space, dst, &mut pre)?;
-            if let Ok(c) = self.wal_log_op(crate::wal::WalOp::Bytes { at: dst, pre }, false) {
+        // The copy destroys the destination; record its bytes first so an
+        // aborting GC cycle — or recovery after a crash — can restore them
+        // (see `crate::wal`).
+        if self.wal_recording() {
+            let bytes = self.wal.live_pre.bytes.len();
+            self.vmem
+                .read_bytes_into(space, dst, len, &mut self.wal.live_pre.bytes)?;
+            if let Ok(c) = self.wal_record(WalOp::Bytes { at: dst, len, bytes }, false) {
                 t += c;
             }
-        }
-        if let Some(saved) = self.journal_stash_bytes(space, dst, len)? {
-            self.journal_record(crate::journal::UndoOp::Bytes { at: dst, saved });
         }
         // Functional move, overlap-safe, without materialising a bounce
         // buffer (the GC copy loop calls this once per moved object; a

@@ -7,9 +7,7 @@
 //! counts land in [`Kernel::perf`].
 
 use crate::fault::{CrashPlan, CrashPoint, FaultPlan};
-use crate::journal::{OpJournal, UndoOp};
 use crate::wal::{WalOp, WriteAheadLog};
-use std::collections::HashSet;
 use svagc_metrics::{
     AccessKind, BandwidthModel, CacheHierarchy, CacheLevel, Cycles, MachineConfig, PerfCounters,
     TraceEvent, TraceKind, Tracer,
@@ -48,8 +46,6 @@ pub struct Kernel {
     pinned: Option<CoreId>,
     /// Seeded SwapVA fault schedule (None = fault-free).
     pub(crate) fault: Option<FaultPlan>,
-    /// Active undo journal (None = not recording). See [`crate::journal`].
-    pub(crate) journal: Option<OpJournal>,
     /// Virtual-time event sink (disabled by default; see
     /// [`svagc_metrics::trace`]). Kernel hot paths emit into it
     /// unconditionally — a disabled sink is a no-op.
@@ -57,8 +53,9 @@ pub struct Kernel {
     /// Stale-translation / flush-protocol oracle (disabled by default; a
     /// pure observer — enabling it never changes simulated behaviour).
     pub(crate) tlb_oracle: TlbOracle,
-    /// Durable write-ahead log for PTE-mutating ops (disabled by default;
-    /// see [`crate::wal`]). Survives [`Kernel::reboot`].
+    /// The undo log: the open cycle's records, plus the durable
+    /// write-ahead image when armed (see [`crate::wal`]). The durable
+    /// image survives [`Kernel::reboot`].
     pub(crate) wal: WriteAheadLog,
     /// Far-memory tier (None = DRAM-only; see [`crate::tier`]). The
     /// backing device is durable across [`Kernel::reboot`]; the host-side
@@ -69,13 +66,6 @@ pub struct Kernel {
     /// Latched crash: once a crash point fires the machine is dead until
     /// [`Kernel::reboot`].
     pub(crate) crashed: Option<CrashPoint>,
-    /// Retired journals' byte arena, recycled into the next
-    /// [`Kernel::journal_begin`] so pre-image buffers stay warm.
-    pub(crate) journal_spare: Vec<u8>,
-    /// Monotonic id source for undo journals (never reused).
-    pub(crate) next_journal_id: u64,
-    /// Journal ids whose rollback already ran — replays are rejected.
-    pub(crate) retired_journals: HashSet<u64>,
 }
 
 impl Kernel {
@@ -96,21 +86,17 @@ impl Kernel {
             bandwidth: BandwidthModel::new(),
             pinned: None,
             fault: None,
-            journal: None,
-            journal_spare: Vec::new(),
             trace: Tracer::disabled(),
             tlb_oracle: TlbOracle::disabled(),
             wal: WriteAheadLog::new(),
             tier: None,
             crash: Vec::new(),
             crashed: None,
-            next_journal_id: 0,
-            retired_journals: HashSet::new(),
         }
     }
 
     /// Simulate a machine restart after a crash. Volatile state dies: every
-    /// TLB comes up cold, the pin is lost, the in-memory undo journal and
+    /// TLB comes up cold, the pin is lost, the open cycle's undo records and
     /// the crash latch are gone. Durable state survives: physical memory,
     /// page tables (owned by the caller), the write-ahead log, and any
     /// *remaining* crash plans (so an `inside-recovery` plan can model a
@@ -121,7 +107,6 @@ impl Kernel {
             *tlb = Tlb::new(TlbConfig::skylake());
         }
         self.pinned = None;
-        self.journal = None;
         self.crashed = None;
         self.wal.drop_volatile();
         if let Some(t) = self.tier.as_mut() {
@@ -390,10 +375,10 @@ impl Kernel {
     }
 
     /// Write one word through `space` on `core`, with full charging.
-    /// While an undo journal is recording, the word's old value is
-    /// journaled first — this is how GC metadata writes (forwarding
-    /// pointers, adjusted reference fields) become invertible without any
-    /// collector-side bookkeeping.
+    /// While a cycle is open, the word's old value is recorded first —
+    /// this is how GC metadata writes (forwarding pointers, adjusted
+    /// reference fields) become undoable without any collector-side
+    /// bookkeeping.
     pub fn write_word(
         &mut self,
         space: &AddressSpace,
@@ -403,17 +388,12 @@ impl Kernel {
     ) -> Result<Cycles, VmError> {
         let (pa, t) = self.translate(space, core, va)?;
         let mut lat = self.cache_access(pa, AccessKind::Write);
-        if self.journal.is_some() || self.wal.cycle_open() {
+        if self.wal_recording() {
             let old = self.vmem.phys.read_u64(pa)?;
-            if self.wal.cycle_open() {
-                // Word intents are written-ahead too, but crash-atomically
-                // (a single-word log write can't tear meaningfully).
-                if let Ok(c) = self.wal_log_op(WalOp::Word { at: va, pre: old }, false) {
-                    lat += c;
-                }
-            }
-            if self.journal.is_some() {
-                self.journal_record(UndoOp::Word { at: va, old });
+            // Word records are written-ahead too, but crash-atomically (a
+            // single-word log write can't tear meaningfully).
+            if let Ok(c) = self.wal_record(WalOp::Word { at: va, pre: old }, false) {
+                lat += c;
             }
         }
         self.vmem.phys.write_u64(pa, val)?;
