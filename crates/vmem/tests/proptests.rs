@@ -1,86 +1,93 @@
 //! Property tests: the page table against a model, and PTE swapping as a
 //! permutation of the mapping.
+//!
+//! Offline std-only: each property runs over many cases drawn from the
+//! deterministic `SimRng` (splitmix64). A failing case panics with the
+//! property name, the case's seed, and the generated inputs, so it
+//! reproduces from the message alone.
 
-
-#![cfg(feature = "proptest-tests")]
-// Gated off by default: `proptest` is unavailable in the offline build.
-// Restore the dev-dependency and run with `--features proptest-tests`.
-
-use proptest::prelude::*;
 use std::collections::HashMap;
+use svagc_metrics::SimRng;
 use svagc_vmem::{FrameId, PageTable, Pte, PteFlags, VirtAddr, VmError};
 
-/// Random-but-valid virtual page addresses across several table subtrees.
-fn arb_va() -> impl Strategy<Value = VirtAddr> {
-    // A few PGD/PUD/PMD indices and any PTE index.
-    (0u64..4, 0u64..4, 0u64..8, 0u64..512)
-        .prop_map(|(pgd, pud, pmd, pte)| {
-            VirtAddr((pgd << 39) | (pud << 30) | (pmd << 21) | (pte << 12))
-        })
-}
-
-#[derive(Debug, Clone)]
-enum Op {
-    Map(VirtAddr, u32),
-    Unmap(VirtAddr),
-    Translate(VirtAddr),
-}
-
-fn arb_op() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (arb_va(), 1u32..10_000).prop_map(|(va, f)| Op::Map(va, f)),
-        arb_va().prop_map(Op::Unmap),
-        arb_va().prop_map(Op::Translate),
-    ]
-}
-
-proptest! {
-    /// The page table behaves exactly like a `HashMap<vpn, frame>`.
-    #[test]
-    fn page_table_matches_model(ops in proptest::collection::vec(arb_op(), 1..200)) {
-        let mut pt = PageTable::new();
-        let mut model: HashMap<u64, u32> = HashMap::new();
-        for op in ops {
-            match op {
-                Op::Map(va, frame) => {
-                    let r = pt.map(va, Pte::map(FrameId(frame), PteFlags::WRITABLE));
-                    if let std::collections::hash_map::Entry::Vacant(e) = model.entry(va.vpn()) {
-                        prop_assert!(r.is_ok());
-                        e.insert(frame);
-                    } else {
-                        prop_assert_eq!(r, Err(VmError::AlreadyMapped(va)));
-                    }
-                }
-                Op::Unmap(va) => {
-                    let r = pt.unmap(va);
-                    match model.remove(&va.vpn()) {
-                        Some(f) => prop_assert_eq!(r.unwrap().frame(), FrameId(f)),
-                        None => prop_assert!(r.is_err()),
-                    }
-                }
-                Op::Translate(va) => {
-                    let r = pt.translate(va);
-                    match model.get(&va.vpn()) {
-                        Some(&f) => {
-                            let pa = r.unwrap();
-                            prop_assert_eq!(pa.frame(), FrameId(f));
-                            prop_assert_eq!(pa.frame_offset(), va.page_offset());
-                        }
-                        None => prop_assert!(r.is_err()),
-                    }
-                }
-            }
-            prop_assert_eq!(pt.mapped_pages(), model.len() as u64);
+/// Run `property` on `cases` generated cases. Case `i` draws its inputs
+/// from `SimRng::seed_from_u64(base_seed + i)`; a failure reports that
+/// seed and the property's description of the case.
+fn check(
+    name: &str,
+    base_seed: u64,
+    cases: u64,
+    property: impl Fn(&mut SimRng) -> Result<(), String>,
+) {
+    for i in 0..cases {
+        let seed = base_seed + i;
+        if let Err(case) = property(&mut SimRng::seed_from_u64(seed)) {
+            panic!("property `{name}` failed on case {i} (seed {seed:#x}): {case}");
         }
     }
+}
 
-    /// Any sequence of PTE swaps permutes the frame assignment: the same
-    /// multiset of frames stays mapped, just under different pages.
-    #[test]
-    fn swaps_are_permutations(
-        pages in 2u64..40,
-        swaps in proptest::collection::vec((0u64..40, 0u64..40), 1..60),
-    ) {
+/// A random-but-valid virtual page address across several table
+/// subtrees: a few PGD/PUD/PMD indices and any PTE index.
+fn arb_va(rng: &mut SimRng) -> VirtAddr {
+    let (pgd, pud) = (rng.gen_range(0..4u64), rng.gen_range(0..4u64));
+    let (pmd, pte) = (rng.gen_range(0..8u64), rng.gen_range(0..512u64));
+    VirtAddr((pgd << 39) | (pud << 30) | (pmd << 21) | (pte << 12))
+}
+
+/// The page table behaves exactly like a `HashMap<vpn, frame>` under any
+/// sequence of maps, unmaps and translations.
+#[test]
+fn page_table_matches_model() {
+    check("page_table_matches_model", 0x6_0000, 128, |rng| {
+        let mut pt = PageTable::new();
+        let mut model: HashMap<u64, u32> = HashMap::new();
+        let ops = rng.gen_range(1..200usize);
+        for op in 0..ops {
+            let va = arb_va(rng);
+            let ok = match rng.gen_range(0..3u32) {
+                0 => {
+                    let frame = rng.gen_range(1..10_000u32);
+                    let r = pt.map(va, Pte::map(FrameId(frame), PteFlags::WRITABLE));
+                    match model.entry(va.vpn()) {
+                        std::collections::hash_map::Entry::Vacant(e) => {
+                            e.insert(frame);
+                            r.is_ok()
+                        }
+                        _ => r == Err(VmError::AlreadyMapped(va)),
+                    }
+                }
+                1 => {
+                    let r = pt.unmap(va);
+                    match model.remove(&va.vpn()) {
+                        Some(f) => r.is_ok_and(|pte| pte.frame() == FrameId(f)),
+                        None => r.is_err(),
+                    }
+                }
+                _ => {
+                    let r = pt.translate(va);
+                    match model.get(&va.vpn()) {
+                        Some(&f) => r.is_ok_and(|pa| {
+                            pa.frame() == FrameId(f) && pa.frame_offset() == va.page_offset()
+                        }),
+                        None => r.is_err(),
+                    }
+                }
+            };
+            if !ok || pt.mapped_pages() != model.len() as u64 {
+                return Err(format!("op {op} at {va:?} diverged from the model"));
+            }
+        }
+        Ok(())
+    });
+}
+
+/// Any sequence of PTE swaps permutes the frame assignment: the same
+/// multiset of frames stays mapped, just under different pages.
+#[test]
+fn swaps_are_permutations() {
+    check("swaps_are_permutations", 0x6_1000, 128, |rng| {
+        let pages = rng.gen_range(2..40u64);
         let base = VirtAddr(0x4000_0000);
         let mut pt = PageTable::new();
         for i in 0..pages {
@@ -88,31 +95,44 @@ proptest! {
                 .unwrap();
         }
         let mut model: Vec<u32> = (0..pages as u32).map(|i| i + 100).collect();
-        for (i, j) in swaps {
-            let (i, j) = (i % pages, j % pages);
+        let swaps: Vec<(u64, u64)> = (0..rng.gen_range(1..60usize))
+            .map(|_| (rng.gen_range(0..pages), rng.gen_range(0..pages)))
+            .collect();
+        for &(i, j) in &swaps {
             pt.swap_ptes(base.add_pages(i), base.add_pages(j)).unwrap();
             model.swap(i as usize, j as usize);
         }
         for i in 0..pages {
-            prop_assert_eq!(
-                pt.pte(base.add_pages(i)).unwrap().frame(),
-                FrameId(model[i as usize])
-            );
+            let frame = pt.pte(base.add_pages(i)).unwrap().frame();
+            if frame != FrameId(model[i as usize]) {
+                return Err(format!("pages={pages} swaps={swaps:?}: page {i} maps {frame:?}"));
+            }
         }
-        prop_assert_eq!(pt.mapped_pages(), pages);
-    }
+        match pt.mapped_pages() {
+            n if n == pages => Ok(()),
+            n => Err(format!("pages={pages} swaps={swaps:?}: {n} pages mapped")),
+        }
+    });
+}
 
-    /// Alignment helpers round-trip: align_down(va) <= va <= align_up(va),
-    /// both page-aligned, within one page of the original.
-    #[test]
-    fn alignment_laws(raw in 0u64..(1 << 47)) {
-        let va = VirtAddr(raw);
-        let down = va.align_down();
-        let up = va.align_up();
-        prop_assert!(down.is_page_aligned() && up.is_page_aligned());
-        prop_assert!(down <= va && va <= up);
-        prop_assert!(va - down < 4096);
-        prop_assert!(up - va < 4096);
-        prop_assert_eq!(va.is_page_aligned(), down == up);
-    }
+/// Alignment helpers round-trip: align_down(va) <= va <= align_up(va),
+/// both page-aligned, within one page of the original.
+#[test]
+fn alignment_laws() {
+    check("alignment_laws", 0x6_2000, 512, |rng| {
+        let va = VirtAddr(rng.gen_range(0..(1u64 << 47)));
+        let (down, up) = (va.align_down(), va.align_up());
+        let holds = down.is_page_aligned()
+            && up.is_page_aligned()
+            && down <= va
+            && va <= up
+            && va - down < 4096
+            && up - va < 4096
+            && va.is_page_aligned() == (down == up);
+        if holds {
+            Ok(())
+        } else {
+            Err(format!("{va:?}: down {down:?}, up {up:?}"))
+        }
+    });
 }
