@@ -4,11 +4,12 @@
 //! Full-GC latency explicitly), which in HotSpot is a parallel
 //! mark-compact over the whole heap with work-stealing task queues and
 //! byte-copy ("memmove") relocation. That is exactly our LISP2 machinery
-//! with SwapVA off:
+//! with SwapVA off, so the baseline is a [`GcConfig`] preset rather than a
+//! collector of its own:
 //!
 //! * all four phases parallel with work stealing,
 //! * relocation by memmove, no page alignment of large objects (pair this
-//!   collector with a heap built via `HeapConfig::with_alignment(false)`),
+//!   configuration with a heap built via `HeapConfig::with_alignment(false)`),
 //! * no TLB shootdown traffic (PTEs never change).
 //!
 //! The generational young-collection machinery is intentionally not
@@ -16,58 +17,21 @@
 //! SVAGC prototype is a full-heap collector too, and the benchmarks are
 //! sized to trigger full collections). See DESIGN.md §2.
 
-use svagc_core::{Collector, GcConfig, GcCycleStats, GcLog, Lisp2Collector, GcError};
-use svagc_heap::{Heap, RootSet};
-use svagc_kernel::Kernel;
+use svagc_core::GcConfig;
 
-/// The ParallelGC-like comparator.
-#[derive(Debug)]
-pub struct ParallelGc {
-    inner: Lisp2Collector,
-}
-
-impl ParallelGc {
-    /// ParallelGC with `gc_threads` workers.
-    pub fn new(gc_threads: usize) -> ParallelGc {
-        ParallelGc {
-            inner: Lisp2Collector::new(
-                GcConfig::lisp2_memmove(gc_threads)
-                    // No PTE updates -> no pinning protocol needed.
-                    .with_pinned(false),
-            ),
-        }
-    }
-
-    /// The underlying configuration (tests/benches).
-    pub fn config(&self) -> &GcConfig {
-        &self.inner.cfg
-    }
-}
-
-impl Collector for ParallelGc {
-    fn name(&self) -> &'static str {
-        "ParallelGC"
-    }
-
-    fn collect(
-        &mut self,
-        kernel: &mut Kernel,
-        heap: &mut Heap,
-        roots: &mut RootSet,
-    ) -> Result<GcCycleStats, GcError> {
-        self.inner.collect(kernel, heap, roots)
-    }
-
-    fn log(&self) -> &GcLog {
-        &self.inner.log
-    }
+/// ParallelGC with `gc_threads` workers: LISP2 with memmove relocation.
+pub fn config(gc_threads: usize) -> GcConfig {
+    GcConfig::lisp2_memmove(gc_threads)
+        // No PTE updates -> no pinning protocol needed.
+        .with_pinned(false)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use svagc_heap::{HeapConfig, ObjShape};
-    use svagc_kernel::CoreId;
+    use svagc_core::Lisp2Collector;
+    use svagc_heap::{Heap, HeapConfig, ObjShape, RootSet};
+    use svagc_kernel::{CoreId, Kernel};
     use svagc_metrics::MachineConfig;
     use svagc_vmem::Asid;
 
@@ -88,13 +52,12 @@ mod tests {
                 roots.push(obj);
             }
         }
-        let mut gc = ParallelGc::new(8);
+        let mut gc = Lisp2Collector::new(config(8));
         let stats = gc.collect(&mut k, &mut h, &mut roots).unwrap();
         assert_eq!(stats.live_objects, 25);
         assert_eq!(stats.swapped_objects, 0, "ParallelGC never swaps PTEs");
         assert!(stats.memmove_bytes > 0);
         assert_eq!(k.perf.ipis_sent, 0, "no shootdowns without PTE changes");
-        assert_eq!(gc.name(), "ParallelGC");
     }
 
     #[test]

@@ -4,11 +4,14 @@
 //! comparison targets the collections its benchmarks actually trigger at
 //! 1.2×/2× minimum heap — degenerated/full collections under allocation
 //! pressure, whose *copy phase "does not utilize the work-stealing
-//! mechanism and parallelism"* (§V-A). We model:
+//! mechanism and parallelism"* (§V-A). The baseline is the
+//! [`parallelgc`](crate::parallelgc) preset plus a serial copy phase, and
+//! the driver always wraps it in `ConcurrentCollector`, so it marks
+//! through the same SATB machinery as SVAGC `--concurrent`:
 //!
-//! * mark: parallel with stealing, but only the final-mark portion
-//!   (`FINAL_MARK_FRACTION`) is charged to the pause; the rest ran
-//!   concurrently and is reported as mutator interference,
+//! * mark: concurrent SATB trace charged to the mutators as
+//!   interference; only the initial mark (per root slot) and the SATB
+//!   drain (per logged overwrite) land in the pause,
 //! * forward/adjust: parallel with stealing (STW, as in a degenerated
 //!   cycle),
 //! * copy/evacuation: **serial memmove** (`compact_threads = 1`) — the
@@ -16,149 +19,29 @@
 //! * no large-object page alignment (pair with
 //!   `HeapConfig::with_alignment(false)`).
 
-use svagc_core::{
-    Collector, GcConfig, GcCycleStats, GcError, GcLog, Lisp2Collector, SATB_DRAIN_ENTRY_COST,
-    SATB_LOG_COST,
-};
-use svagc_heap::{Heap, HeapError, ObjRef, RootSet};
-use svagc_kernel::{CoreId, Kernel};
-use svagc_metrics::Cycles;
+use svagc_core::GcConfig;
 
-/// Legacy fraction of marking charged to the STW pause (final mark); the
-/// remainder ran concurrently with mutators. Used only when the SATB
-/// barrier is not armed ([`Shenandoah::arm_satb`]): the fixed fraction
-/// charges the same final mark whether the mutator overwrote three
-/// references or three million, which skews any pause comparison against
-/// a collector whose drain is charged per logged entry.
-pub const FINAL_MARK_FRACTION: f64 = 0.15;
-
-/// The Shenandoah-like comparator.
-#[derive(Debug)]
-pub struct Shenandoah {
-    inner: Lisp2Collector,
-    log: GcLog,
-    name: &'static str,
-    satb_armed: bool,
-    satb_logged: u64,
-}
-
-impl Shenandoah {
-    /// Shenandoah with `gc_threads` (concurrent) workers.
-    pub fn new(gc_threads: usize) -> Shenandoah {
-        Shenandoah {
-            inner: Lisp2Collector::new(
-                GcConfig::lisp2_memmove(gc_threads)
-                    .with_pinned(false)
-                    .with_compact_threads(Some(1)),
-            ),
-            log: GcLog::new(),
-            name: "Shenandoah",
-            satb_armed: false,
-            satb_logged: 0,
-        }
-    }
-
-    /// Arm the SATB deletion barrier: mutator ref overwrites (through
-    /// [`Collector::write_barrier`]) are counted, and the final-mark
-    /// pause charge becomes proportional to the logged work instead of
-    /// the legacy fixed [`FINAL_MARK_FRACTION`] — the apples-to-apples
-    /// accounting the `pause_cdf` comparison needs. Default-off so
-    /// existing figure digests are unchanged.
-    pub fn arm_satb(&mut self) {
-        self.satb_armed = true;
-    }
-
-    /// Shenandoah with SwapVA-accelerated evacuation — Table I's third
-    /// row: the base call and PMD caching apply to concurrent
-    /// evacuation, but each copy is independent so requests are *not*
-    /// aggregated, and relocation targets fresh regions so the overlap
-    /// machinery is never engaged. This demonstrates the paper's claim
-    /// that SwapVA "can also be applied to other algorithms such as
-    /// concurrent GCs".
-    pub fn with_swapva(gc_threads: usize) -> Shenandoah {
-        Shenandoah {
-            inner: Lisp2Collector::new(
-                GcConfig::svagc(gc_threads)
-                    .with_aggregation(None) // Table I: ✗ for concurrent
-                    .with_overlap(false) // Table I: ✗ for concurrent
-                    .with_compact_threads(Some(1)),
-            ),
-            log: GcLog::new(),
-            name: "Shenandoah+SwapVA",
-            satb_armed: false,
-            satb_logged: 0,
-        }
-    }
-}
-
-impl Collector for Shenandoah {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn collect(
-        &mut self,
-        kernel: &mut Kernel,
-        heap: &mut Heap,
-        roots: &mut RootSet,
-    ) -> Result<GcCycleStats, GcError> {
-        let mut stats = self.inner.collect(kernel, heap, roots)?;
-        // Concurrent marking: move all but the final mark out of the pause
-        // and onto the mutators. Armed, the final mark is the SATB drain —
-        // proportional to the references the mutator actually overwrote
-        // since the last cycle (capped at the full mark: the drain can
-        // never exceed re-marking everything). Unarmed, the legacy fixed
-        // fraction applies, keeping historical digests byte-identical.
-        let stw_mark = if self.satb_armed {
-            let logged = std::mem::take(&mut self.satb_logged);
-            stats.satb_logged = logged;
-            Cycles((SATB_DRAIN_ENTRY_COST * logged).get().min(stats.phases.mark.get()))
-        } else {
-            Cycles((stats.phases.mark.get() as f64 * FINAL_MARK_FRACTION) as u64)
-        };
-        let concurrent = stats.phases.mark - stw_mark;
-        stats.phases.mark = stw_mark;
-        stats.interference += concurrent;
-        self.log.push(stats);
-        Ok(stats)
-    }
-
-    fn write_barrier(
-        &mut self,
-        kernel: &mut Kernel,
-        heap: &mut Heap,
-        core: CoreId,
-        obj: ObjRef,
-        field: u64,
-    ) -> Result<Cycles, HeapError> {
-        if !self.satb_armed {
-            return Ok(Cycles::ZERO);
-        }
-        // SATB deletion barrier: read the outgoing value; a non-null
-        // in-heap reference is logged for the next cycle's final-mark
-        // drain.
-        let (old, mut cost) = heap.read_ref(kernel, core, obj, field)?;
-        if !old.is_null() && heap.contains(old.0) {
-            self.satb_logged += 1;
-            cost += SATB_LOG_COST;
-        }
-        Ok(cost)
-    }
-
-    fn log(&self) -> &GcLog {
-        &self.log
-    }
+/// Shenandoah with `gc_threads` workers: the ParallelGC preset with a
+/// single-threaded copy phase.
+pub fn config(gc_threads: usize) -> GcConfig {
+    crate::parallelgc::config(gc_threads).with_compact_threads(Some(1))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallelgc::ParallelGc;
-    use svagc_heap::{HeapConfig, ObjShape};
-    use svagc_kernel::CoreId;
+    use svagc_core::{Collector, ConcurrentCollector, Lisp2Collector, INIT_MARK_ROOT_COST};
+    use svagc_heap::{Heap, HeapConfig, ObjShape, RootSet};
+    use svagc_kernel::{CoreId, Kernel};
     use svagc_metrics::MachineConfig;
     use svagc_vmem::Asid;
 
+    /// The collector the driver builds for Shenandoah.
+    fn shenandoah(cfg: GcConfig) -> ConcurrentCollector {
+        ConcurrentCollector::new(Lisp2Collector::new(cfg))
+    }
+
+    /// 200 large objects on an unaligned heap, every other one rooted.
     fn populated_heap(k: &mut Kernel) -> (Heap, RootSet) {
         let mut h = Heap::new(
             k,
@@ -181,12 +64,11 @@ mod tests {
     fn serial_copy_makes_shenandoah_slower_than_parallelgc() {
         let mut k1 = Kernel::with_bytes(MachineConfig::xeon_gold_6130(), 64 << 20);
         let (mut h1, mut r1) = populated_heap(&mut k1);
-        let mut shen = Shenandoah::new(8);
-        let s_shen = shen.collect(&mut k1, &mut h1, &mut r1).unwrap();
+        let s_shen = shenandoah(config(8)).collect(&mut k1, &mut h1, &mut r1).unwrap();
 
         let mut k2 = Kernel::with_bytes(MachineConfig::xeon_gold_6130(), 64 << 20);
         let (mut h2, mut r2) = populated_heap(&mut k2);
-        let mut pgc = ParallelGc::new(8);
+        let mut pgc = Lisp2Collector::new(crate::parallelgc::config(8));
         let s_pgc = pgc.collect(&mut k2, &mut h2, &mut r2).unwrap();
 
         assert!(
@@ -200,46 +82,58 @@ mod tests {
 
     #[test]
     fn concurrent_mark_shrinks_pause_but_not_work() {
-        let mut k = Kernel::with_bytes(MachineConfig::xeon_gold_6130(), 64 << 20);
-        let (mut h, mut r) = populated_heap(&mut k);
-        let mut shen = Shenandoah::new(8);
-        let stats = shen.collect(&mut k, &mut h, &mut r).unwrap();
-        assert!(stats.interference.get() > 0, "concurrent mark is charged to mutators");
+        let mut k1 = Kernel::with_bytes(MachineConfig::xeon_gold_6130(), 64 << 20);
+        let (mut h1, mut r1) = populated_heap(&mut k1);
+        let stw = Lisp2Collector::new(config(8)).collect(&mut k1, &mut h1, &mut r1).unwrap();
+
+        let mut k2 = Kernel::with_bytes(MachineConfig::xeon_gold_6130(), 64 << 20);
+        let (mut h2, mut r2) = populated_heap(&mut k2);
+        let mut shen = shenandoah(config(8));
+        let stats = shen.collect(&mut k2, &mut h2, &mut r2).unwrap();
+
+        assert!(stats.concurrent_mark.get() > 0, "the trace runs off-pause");
+        assert!(
+            stats.interference >= stats.concurrent_mark,
+            "concurrent mark is charged to mutators"
+        );
+        // Nothing was overwritten, so the pause keeps only the initial
+        // mark over the 100 root slots.
+        assert_eq!(stats.satb_logged, 0);
+        assert_eq!(stats.phases.mark, INIT_MARK_ROOT_COST * 100);
+        assert!(
+            stats.phases.mark + stats.concurrent_mark >= stw.phases.mark,
+            "work is moved, not deleted"
+        );
         assert_eq!(shen.log().count(), 1);
-        assert_eq!(shen.name(), "Shenandoah");
     }
 
     #[test]
     fn swapva_accelerates_concurrent_evacuation() {
         // Table I row 3: SwapVA (sans aggregation/overlap) still pays off
         // in a concurrent collector's copy phase — the paper's
-        // orthogonality claim.
-        let mut k1 = Kernel::with_bytes(MachineConfig::xeon_gold_6130(), 64 << 20);
-        let mut h1 = Heap::new(&mut k1, Asid(1), HeapConfig::new(32 << 20)).unwrap();
-        let mut r1 = RootSet::new();
+        // orthogonality claim. Each copy is independent, so requests are
+        // not aggregated, and relocation targets fresh regions, so the
+        // overlap machinery is never engaged.
+        let accelerated = GcConfig::svagc(8)
+            .with_aggregation(None)
+            .with_overlap(false)
+            .with_compact_threads(Some(1));
         let big = ObjShape::data_bytes(256 << 10);
-        for i in 0..100u64 {
-            let (obj, _) = h1.alloc(&mut k1, CoreId(0), big).unwrap();
-            if i % 2 == 0 {
-                r1.push(obj);
-            }
-        }
-        let mut plain = Shenandoah::new(8);
-        let s_plain = {
-            let mut k2 = Kernel::with_bytes(MachineConfig::xeon_gold_6130(), 64 << 20);
-            let mut h2 = Heap::new(&mut k2, Asid(1), HeapConfig::new(32 << 20)).unwrap();
-            let mut r2 = RootSet::new();
+        let run = |cfg: GcConfig| {
+            let mut k = Kernel::with_bytes(MachineConfig::xeon_gold_6130(), 64 << 20);
+            let mut h = Heap::new(&mut k, Asid(1), HeapConfig::new(32 << 20)).unwrap();
+            let mut r = RootSet::new();
             for i in 0..100u64 {
-                let (obj, _) = h2.alloc(&mut k2, CoreId(0), big).unwrap();
+                let (obj, _) = h.alloc(&mut k, CoreId(0), big).unwrap();
                 if i % 2 == 0 {
-                    r2.push(obj);
+                    r.push(obj);
                 }
             }
-            plain.collect(&mut k2, &mut h2, &mut r2).unwrap()
+            let stats = shenandoah(cfg).collect(&mut k, &mut h, &mut r).unwrap();
+            (stats, k.perf.syscalls)
         };
-        let mut accel = Shenandoah::with_swapva(8);
-        let s_accel = accel.collect(&mut k1, &mut h1, &mut r1).unwrap();
-        assert_eq!(accel.name(), "Shenandoah+SwapVA");
+        let (s_plain, _) = run(config(8));
+        let (s_accel, syscalls) = run(accelerated);
         assert!(s_accel.swapped_objects > 0, "evacuation used SwapVA");
         assert!(
             s_accel.phases.compact.get() * 2 < s_plain.phases.compact.get(),
@@ -248,93 +142,7 @@ mod tests {
             s_plain.phases.compact
         );
         // No aggregation: one syscall per swapped object.
-        assert_eq!(k1.perf.syscalls, s_accel.swapped_objects);
-    }
-
-    #[test]
-    fn final_mark_charge_proportional_to_satb_drain() {
-        // Pin the accounting drift fix: the legacy path charges a fixed
-        // 15% of mark to the pause no matter how small the SATB drain;
-        // armed, the charge is per-logged-entry and the drain size is
-        // what the mutator actually overwrote.
-        let mk = || {
-            let mut k = Kernel::with_bytes(MachineConfig::xeon_gold_6130(), 64 << 20);
-            let mut h = Heap::new(
-                &mut k,
-                Asid(1),
-                HeapConfig::new(8 << 20).with_alignment(false),
-            )
-            .unwrap();
-            let mut roots = RootSet::new();
-            let shape = ObjShape::with_refs(1, 8);
-            let mut objs = Vec::new();
-            for _ in 0..64u64 {
-                let (obj, _) = h.alloc(&mut k, CoreId(0), shape).unwrap();
-                roots.push(obj);
-                objs.push(obj);
-            }
-            // Wire each object's ref field to its neighbor so overwrites
-            // hit non-null in-heap values (the barrier's logging case).
-            for i in 0..objs.len() {
-                h.write_ref(&mut k, CoreId(0), objs[i], 0, objs[(i + 1) % objs.len()])
-                    .unwrap();
-            }
-            (k, h, roots, objs)
-        };
-
-        // Legacy (unarmed): fixed-fraction charge, zero logged.
-        let (mut k1, mut h1, mut r1, _) = mk();
-        let mut legacy = Shenandoah::new(4);
-        let s_old = legacy.collect(&mut k1, &mut h1, &mut r1).unwrap();
-        assert_eq!(s_old.satb_logged, 0);
-
-        // Armed: overwrite a handful of refs through the barrier, then
-        // collect the identical heap.
-        let (mut k2, mut h2, mut r2, objs) = mk();
-        let mut armed = Shenandoah::new(4);
-        armed.arm_satb();
-        let logged = 5u64;
-        for i in 0..logged as usize {
-            let t = armed
-                .write_barrier(&mut k2, &mut h2, CoreId(0), objs[i], 0)
-                .unwrap();
-            assert!(t >= SATB_LOG_COST, "logging store is costed");
-            // Store the same neighbor back: the barrier saw a genuine
-            // overwrite, but the heap stays identical to the legacy run
-            // so the total mark work is provably equal below.
-            h2.write_ref(&mut k2, CoreId(0), objs[i], 0, objs[(i + 1) % objs.len()])
-                .unwrap();
-        }
-        let s_new = armed.collect(&mut k2, &mut h2, &mut r2).unwrap();
-        assert_eq!(s_new.satb_logged, logged);
-
-        // Pin old vs. new totals. Both runs mark the same heap, so the
-        // total mark work matches; only the pause/concurrent split moves.
-        let old_total = s_old.phases.mark + s_old.interference;
-        let new_total = s_new.phases.mark + s_new.interference;
-        assert_eq!(old_total, new_total, "fix moves the split, not the work");
-        assert_eq!(
-            s_old.phases.mark,
-            Cycles((old_total.get() as f64 * FINAL_MARK_FRACTION) as u64),
-            "legacy: fixed fraction of mark"
-        );
-        assert_eq!(
-            s_new.phases.mark,
-            SATB_DRAIN_ENTRY_COST * logged,
-            "armed: per-entry drain charge"
-        );
-        assert!(
-            s_new.phases.mark.get() < s_old.phases.mark.get(),
-            "small drain ({}) must undercut the fixed fraction ({})",
-            s_new.phases.mark,
-            s_old.phases.mark
-        );
-
-        // Second armed cycle with no overwrites: counter was reset, so
-        // the final-mark charge collapses to zero (nothing to drain).
-        let s_idle = armed.collect(&mut k2, &mut h2, &mut r2).unwrap();
-        assert_eq!(s_idle.satb_logged, 0);
-        assert_eq!(s_idle.phases.mark, Cycles::ZERO);
+        assert_eq!(syscalls, s_accel.swapped_objects);
     }
 
     #[test]
@@ -358,8 +166,7 @@ mod tests {
                 kept.push((roots.push(obj), i * 1000));
             }
         }
-        let mut shen = Shenandoah::new(4);
-        shen.collect(&mut k, &mut h, &mut roots).unwrap();
+        shenandoah(config(4)).collect(&mut k, &mut h, &mut roots).unwrap();
         for (rid, seed) in kept {
             let obj = roots.get(rid);
             for w in 0..128u64 {

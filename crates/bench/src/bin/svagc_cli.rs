@@ -61,11 +61,10 @@ fn usage() -> ! {
                       execution (charged as interference, not pause);
                       only initial mark, the SATB-buffer drain, and
                       compaction stay in the pause. The compacted heap is
-                      bit-identical to the STW run's. LISP2 collectors
-                      (svagc | memmove) wrap in the concurrent collector;
-                      shenandoah arms its SATB barrier so its final-mark
-                      charge is proportional to logged work; parallelgc
-                      is unchanged
+                      bit-identical to the STW run's. svagc | memmove
+                      wrap in the concurrent collector; the baselines
+                      ignore the flag (shenandoah always marks
+                      concurrently, parallelgc never does)
   --scheduler         GC scheduling substrate: barrier (default; each
                       phase joins at a global barrier) or packets (work
                       decomposed into typed packets in dependency-ordered

@@ -159,7 +159,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         id: "pause_cdf",
         title: "Pause CDF",
-        caption: "Full-GC pause percentiles: SVAGC STW vs --concurrent vs Shenandoah (SATB armed)",
+        caption: "Full-GC pause percentiles: SVAGC STW vs --concurrent vs Shenandoah",
         run: render::pause_cdf,
     },
     Experiment {

@@ -566,7 +566,7 @@ fn percentile_cycles(sorted: &[u64], p: u64) -> u64 {
 }
 
 /// Pause-CDF suite: SVAGC stop-the-world vs SVAGC `--concurrent` vs
-/// Shenandoah (SATB barrier armed), all on Bisort — the suite workload
+/// Shenandoah (always concurrently marked), all on Bisort — the suite workload
 /// whose subtree rebuilds overwrite live parent→child references, so the
 /// deletion barrier sees genuine mutator churn. Returns rows in that
 /// order. The SVAGC pair runs on identical heaps; the renderer pins

@@ -3,7 +3,7 @@
 
 use crate::env::JvmEnv;
 use crate::workload::Workload;
-use svagc_baselines::{ParallelGc, Shenandoah};
+use svagc_baselines::{parallelgc, shenandoah};
 use svagc_core::{
     recover, Collector, ConcurrentCollector, DegradePolicy, GcConfig, GcError, GcLog,
     Lisp2Collector, PressureEscalator, PressureStats, RecoveryError, RecoveryReport,
@@ -38,55 +38,45 @@ impl CollectorKind {
     /// Instantiate the collector for a run with `cfg`'s run-level knobs:
     /// worker count, post-phase verification, watchdog deadline,
     /// degraded-mode policy, SwapVA retry-policy override, scheduling
-    /// policy and core-affinity base. With `cfg.concurrent`, LISP2-based
-    /// kinds get SATB concurrent marking ([`ConcurrentCollector`] around
-    /// the same configuration) and Shenandoah arms its SATB barrier so its
-    /// final-mark pause charge is proportional to logged work. The
-    /// baseline wrappers (ParallelGC, Shenandoah) keep their own fixed
-    /// configurations and ignore the transactional knobs; ParallelGC has
-    /// no concurrent mode.
+    /// policy and core-affinity base. Every kind is a LISP2 configuration
+    /// (the baselines' come from [`parallelgc::config`] and
+    /// [`shenandoah::config`]), so every knob applies to every kind. A
+    /// concurrent kind gets SATB concurrent marking: [`ConcurrentCollector`]
+    /// around the same configuration. Shenandoah always marks
+    /// concurrently, ParallelGC never does, and every other kind follows
+    /// `cfg.concurrent`.
     pub fn build(&self, cfg: &RunConfig) -> Box<dyn Collector> {
-        let threads = cfg.gc_threads;
-        match self {
-            CollectorKind::ParallelGc => Box::new(ParallelGc::new(threads)),
-            CollectorKind::Shenandoah => {
-                let mut s = Shenandoah::new(threads);
-                if cfg.concurrent {
-                    s.arm_satb();
-                }
-                Box::new(s)
-            }
-            CollectorKind::Svagc | CollectorKind::SvagcMemmove | CollectorKind::Custom(_) => {
-                let gc = Lisp2Collector::new(self.lisp2_config(cfg));
-                if cfg.concurrent {
-                    Box::new(ConcurrentCollector::new(gc))
-                } else {
-                    Box::new(gc)
-                }
-            }
+        let gc = Lisp2Collector::new(self.lisp2_config(cfg));
+        if self.marks_concurrently(cfg) {
+            Box::new(ConcurrentCollector::new(gc))
+        } else {
+            Box::new(gc)
         }
     }
 
-    /// The resolved LISP2 configuration of a LISP2-based kind.
+    fn marks_concurrently(&self, run: &RunConfig) -> bool {
+        match self {
+            CollectorKind::Shenandoah => true,
+            CollectorKind::ParallelGc => false,
+            _ => run.concurrent,
+        }
+    }
+
+    /// The resolved LISP2 configuration of this kind.
     fn lisp2_config(&self, run: &RunConfig) -> GcConfig {
+        let threads = run.gc_threads;
         let cfg = match self {
-            CollectorKind::Svagc => GcConfig::svagc(run.gc_threads).with_degrade(run.degrade),
-            CollectorKind::SvagcMemmove => {
-                GcConfig::lisp2_memmove(run.gc_threads).with_degrade(run.degrade)
-            }
-            CollectorKind::Custom(cfg) => GcConfig {
-                gc_threads: run.gc_threads,
-                degrade: if run.degrade.enabled { run.degrade } else { cfg.degrade },
-                ..*cfg
-            },
-            CollectorKind::ParallelGc | CollectorKind::Shenandoah => {
-                unreachable!("baseline wrappers keep their own configurations")
-            }
+            CollectorKind::Svagc => GcConfig::svagc(threads),
+            CollectorKind::SvagcMemmove => GcConfig::lisp2_memmove(threads),
+            CollectorKind::ParallelGc => parallelgc::config(threads),
+            CollectorKind::Shenandoah => shenandoah::config(threads),
+            CollectorKind::Custom(cfg) => GcConfig { gc_threads: threads, ..*cfg },
         };
         // The run-level knobs win only when explicitly set; an ablation's
         // Custom config keeps its own choices. (The named kinds start
         // from the defaults, so for them the run-level value always wins.)
         let cfg = GcConfig {
+            degrade: if run.degrade.enabled { run.degrade } else { cfg.degrade },
             deadline_cycles: run.deadline_cycles.or(cfg.deadline_cycles),
             scheduler: if run.scheduler == SchedulerKind::Barrier {
                 cfg.scheduler
@@ -123,14 +113,14 @@ impl CollectorKind {
         }
     }
 
-    /// Display label of a `--concurrent` run of this kind.
-    pub fn concurrent_label(&self) -> &'static str {
+    /// Display label of a run with `run`: [`CollectorKind::label`], plus
+    /// `-concurrent` when the `--concurrent` flag wrapped the collector.
+    fn run_label(&self, run: &RunConfig) -> &'static str {
         match self {
-            CollectorKind::Svagc => "SVAGC-concurrent",
-            CollectorKind::SvagcMemmove => "SVAGC(-SwapVA)-concurrent",
-            CollectorKind::ParallelGc => "ParallelGC",
-            CollectorKind::Shenandoah => "Shenandoah+SATB",
-            CollectorKind::Custom(_) => "Custom-concurrent",
+            CollectorKind::Svagc if run.concurrent => "SVAGC-concurrent",
+            CollectorKind::SvagcMemmove if run.concurrent => "SVAGC(-SwapVA)-concurrent",
+            CollectorKind::Custom(_) if run.concurrent => "Custom-concurrent",
+            _ => self.label(),
         }
     }
 }
@@ -228,9 +218,10 @@ pub struct RunConfig {
     pub wal_namespace: u16,
     /// Run with SATB concurrent marking (`--concurrent`): marking
     /// overlaps mutator execution and only initial/final mark plus
-    /// compaction are charged to the pause. LISP2-based collectors wrap
-    /// in [`ConcurrentCollector`]; Shenandoah arms its SATB barrier.
-    /// The compacted heap is bit-identical to the STW run's.
+    /// compaction are charged to the pause. The collector is wrapped in
+    /// [`ConcurrentCollector`]. The compacted heap is bit-identical to
+    /// the STW run's. The baselines ignore the flag: Shenandoah always
+    /// marks concurrently, ParallelGC never does.
     pub concurrent: bool,
     /// Arm cold-object tiering: keep this fraction of the heap's
     /// committed pages resident in DRAM and demote the cold rest to a
@@ -1049,11 +1040,7 @@ fn run_inner(
 
     Ok(RunEnd::Completed(Box::new(RunResult {
         workload: workload.name(),
-        collector: if cfg.concurrent {
-            cfg.collector.concurrent_label()
-        } else {
-            cfg.collector.label()
-        },
+        collector: cfg.collector.run_label(cfg),
         gc: gc_log,
         app_cycles,
         app_wall,

@@ -2,7 +2,7 @@
 //! actually triggers, data survives, and the paper's headline orderings
 //! hold on the simulated machine.
 
-use svagc_workloads::driver::{run, CollectorKind, RunConfig};
+use svagc_workloads::driver::{run, run_classified, CollectorKind, FailureKind, RunConfig};
 use svagc_workloads::suite;
 
 fn cfg(kind: CollectorKind) -> RunConfig {
@@ -113,4 +113,17 @@ fn runs_are_deterministic() {
     assert_eq!(a.gc.total_pause(), b.gc.total_pause());
     assert_eq!(a.app_cycles, b.app_cycles);
     assert_eq!(a.perf, b.perf);
+}
+
+#[test]
+fn baselines_honour_the_run_level_deadline() {
+    // The baselines are LISP2 configurations built through the same path
+    // as SVAGC, so a one-cycle watchdog deadline must abort their first
+    // GC too.
+    for kind in [CollectorKind::ParallelGc, CollectorKind::Shenandoah] {
+        let mut w = suite::by_name("Compress").unwrap();
+        let c = cfg(kind).with_deadline(Some(1));
+        let err = run_classified(w.as_mut(), &c).expect_err("deadline must expire");
+        assert_eq!(err.kind, FailureKind::Watchdog, "{}: {}", kind.label(), err.message);
+    }
 }
