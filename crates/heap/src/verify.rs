@@ -1,9 +1,10 @@
 //! Post-phase heap verification: the oracle for chaos testing.
 //!
-//! [`HeapVerifier`] walks the heap *functionally* — through uncosted
-//! `vmem` reads, never the charged `Kernel::read_word` path — so invoking
-//! it perturbs no cycle, perf, TLB, or cache accounting: a verified run
-//! reports the same numbers as an unverified one.
+//! [`HeapVerifier`] walks the heap *functionally* — through the kernel's
+//! uncosted, tier-aware page view (`Kernel::page_bytes_tiered`), never
+//! the charged `Kernel::read_word` path — so invoking it perturbs no
+//! cycle, perf, TLB, or cache accounting: a verified run reports the same
+//! numbers as an unverified one.
 //!
 //! Four check groups, one per LISP2 phase:
 //!
@@ -27,8 +28,8 @@ use crate::heap::Heap;
 use crate::object::{ObjHeader, ObjRef, HEADER_WORDS};
 use crate::roots::RootSet;
 use std::collections::HashSet;
-use svagc_kernel::Kernel;
-use svagc_vmem::VirtAddr;
+use svagc_kernel::{Fnv64, Kernel};
+use svagc_vmem::{VirtAddr, PAGE_SHIFT, WORD_BYTES};
 
 /// One broken invariant.
 #[derive(Debug, Clone)]
@@ -455,58 +456,63 @@ impl HeapVerifier {
     /// FNV-1a hash of every live object's address, header, and payload.
     /// The forwarding word is excluded (transient GC state); everything
     /// else that defines the heap's observable content folds in, so equal
-    /// hashes mean bit-identical live data at identical addresses.
+    /// hashes mean bit-identical live data at identical addresses. An
+    /// unreadable word folds in as `u64::MAX`.
+    ///
+    /// Reads go through [`Kernel::page_bytes_tiered`], so a far page
+    /// hashes its real bytes, not its zeroed frame: a hash taken while
+    /// pages are demoted equals the one taken after promoting them all.
+    /// Each page is translated once and its words fold straight off the
+    /// page slice ([`Fnv64`], one multiply per word).
     pub fn content_hash(&self, kernel: &Kernel, heap: &mut Heap) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        // FNV-1a folded a whole 64-bit word at a time: a per-byte fold is
-        // a serial chain of 8 dependent multiplies per word, and hashing
-        // every live payload word made it a measurable share of whole-run
-        // host time. Hash values are only ever compared against other
-        // hashes computed by this same function in-process, so the word
-        // granularity is free to choose.
-        let mut fold = |word: u64| {
-            h ^= word;
-            h = h.wrapping_mul(FNV_PRIME);
-        };
-        // Word reads translate once per page, not once per word (a
-        // software page-table walk per word is the other per-word cost).
-        // Words are 8-aligned so they never straddle a page.
-        let objects: Vec<ObjRef> = heap.objects_sorted().to_vec();
-        let space = heap.space();
-        let mut cached: Option<(u64, svagc_vmem::PhysAddr)> = None;
-        let mut read_word = |va: VirtAddr| -> Result<u64, svagc_vmem::VmError> {
-            let vpn = va.vpn();
-            let page = match cached {
-                Some((v, pa)) if v == vpn => pa,
+        heap.objects_sorted();
+        let (space, objects) = heap.space_and_objects();
+        let mut h = Fnv64::new();
+        // The last page viewed: consecutive small objects share pages.
+        let mut cached: Option<(u64, &[u8])> = None;
+        let mut page = |va: VirtAddr| -> Option<&[u8]> {
+            match cached {
+                Some((vpn, bytes)) if vpn == va.vpn() => Some(bytes),
                 _ => {
-                    let pa = space.translate(VirtAddr(vpn << svagc_vmem::PAGE_SHIFT))?;
-                    cached = Some((vpn, pa));
-                    pa
-                }
-            };
-            kernel.vmem.phys.read_u64(page + va.page_offset())
-        };
-        for obj in objects {
-            fold(obj.0.get());
-            let Ok(raw) = read_word(obj.header_va()) else {
-                fold(u64::MAX);
-                continue;
-            };
-            fold(raw);
-            let hdr = ObjHeader::decode(raw);
-            // All payload words (reference fields + data), skipping the
-            // forwarding word at index 1.
-            for w in HEADER_WORDS..hdr.size_words as u64 {
-                match read_word(obj.0 + w * 8) {
-                    Ok(v) => fold(v),
-                    Err(_) => fold(u64::MAX),
+                    let bytes = kernel.page_bytes_tiered(space, va).ok()?;
+                    cached = Some((va.vpn(), bytes));
+                    Some(bytes)
                 }
             }
+        };
+        for obj in objects {
+            h.word(obj.0.get());
+            let hv = obj.header_va();
+            let Some(raw) = page(hv).map(|p| word_at(p, hv)) else {
+                h.word(u64::MAX);
+                continue;
+            };
+            h.word(raw);
+            let hdr = ObjHeader::decode(raw);
+            // All payload words (reference fields + data), skipping the
+            // forwarding word at index 1, one page-bounded run at a time.
+            // Objects are word-aligned, so words never straddle a page.
+            let end = obj.0 + hdr.size_words as u64 * WORD_BYTES;
+            let mut va = obj.0 + HEADER_WORDS * WORD_BYTES;
+            while va < end {
+                let run_end = VirtAddr((va.vpn() + 1) << PAGE_SHIFT).min(end);
+                let off = va.page_offset() as usize;
+                let len = (run_end - va) as usize;
+                match page(va) {
+                    Some(p) => h.le_words(&p[off..off + len]),
+                    None => (0..len / WORD_BYTES as usize).for_each(|_| h.word(u64::MAX)),
+                }
+                va = run_end;
+            }
         }
-        h
+        h.finish()
     }
+}
+
+/// The little-endian word at `va`'s offset in its page's bytes.
+fn word_at(page: &[u8], va: VirtAddr) -> u64 {
+    let off = va.page_offset() as usize;
+    u64::from_le_bytes(page[off..off + 8].try_into().expect("an 8-byte slice"))
 }
 
 #[cfg(test)]
@@ -681,5 +687,22 @@ mod tests {
         let h2 = v.content_hash(&k, &mut h);
         k.vmem.write_u64(h.space(), a.forwarding_va(), 0x77).unwrap();
         assert_eq!(h2, v.content_hash(&k, &mut h));
+    }
+
+    #[test]
+    fn content_hash_sees_through_a_demoted_page() {
+        use svagc_kernel::{FarDevice, FarTier, RetryPolicy};
+        let (mut k, mut h, _) = setup();
+        let tier = FarTier::new(FarDevice::new(8), RetryPolicy::default());
+        k.set_far_tier(Some(tier));
+        let (a, _) = h.alloc(&mut k, CORE, ObjShape::data(16)).unwrap();
+        h.write_data(&mut k, CORE, a, 0, 3, 0xDEAD).unwrap();
+        let v = HeapVerifier::new();
+        let before = v.content_hash(&k, &mut h);
+        // The demoted frame is zeroed; the hash must cover the slot's
+        // real bytes, not the zeros.
+        k.tier_demote_page(h.space(), a.0).unwrap();
+        assert_eq!(k.far_tier().unwrap().far_count(), 1);
+        assert_eq!(v.content_hash(&k, &mut h), before);
     }
 }

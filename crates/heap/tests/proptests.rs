@@ -1,16 +1,19 @@
 //! Property tests of the allocator: objects never overlap, Algorithm 3's
 //! alignment invariants hold for arbitrary allocation sequences, and the
-//! bidirectional TLAB keeps species separated.
+//! bidirectional TLAB keeps species separated. Plus the content hash:
+//! its page-slice fold equals a per-word reference on any heap.
 //!
 //! Offline std-only: each property runs over many cases drawn from the
 //! deterministic `SimRng` (splitmix64). A failing case panics with the
 //! property name, the case's seed, and the generated inputs, so it
 //! reproduces from the message alone.
 
-use svagc_heap::{Heap, HeapConfig, HeapError, ObjShape, TlabAllocator};
-use svagc_kernel::{CoreId, Kernel};
+use svagc_heap::{
+    Heap, HeapConfig, HeapError, HeapVerifier, ObjHeader, ObjShape, TlabAllocator, HEADER_WORDS,
+};
+use svagc_kernel::{CoreId, FarDevice, FarTier, Kernel, RetryPolicy};
 use svagc_metrics::{MachineConfig, SimRng};
-use svagc_vmem::{Asid, PAGE_SIZE};
+use svagc_vmem::{Asid, PAGE_SIZE, WORD_BYTES};
 
 const CORE: CoreId = CoreId(0);
 
@@ -145,5 +148,93 @@ fn data_writes_stay_in_bounds() {
         } else {
             Err(format!("refs={num_refs} data={data_words} probe={probe}: neighbour clobbered"))
         }
+    });
+}
+
+/// The per-word reference for [`HeapVerifier::content_hash`]: each word
+/// read on its own through `Kernel::read_u64_tiered` and folded with a
+/// spelled-out FNV-1a word step, in the same order (address, header,
+/// payload past the forwarding word; `u64::MAX` for an unreadable word).
+fn reference_hash(k: &Kernel, h: &mut Heap) -> u64 {
+    let mut acc = 0xcbf2_9ce4_8422_2325u64;
+    let mut fold = |w: u64| acc = (acc ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+    let objects = h.objects_sorted().to_vec();
+    for obj in objects {
+        fold(obj.0.get());
+        let Ok(raw) = k.read_u64_tiered(h.space(), obj.header_va()) else {
+            fold(u64::MAX);
+            continue;
+        };
+        fold(raw);
+        for w in HEADER_WORDS..ObjHeader::decode(raw).size_words as u64 {
+            let word = k.read_u64_tiered(h.space(), obj.0 + w * WORD_BYTES);
+            fold(word.unwrap_or(u64::MAX));
+        }
+    }
+    acc
+}
+
+/// One random heap for `content_hash_matches_reference`: small
+/// objects (some straddling page boundaries), page-aligned large objects
+/// (some exactly whole pages), every word past the header random.
+fn random_heap(rng: &mut SimRng) -> (Kernel, Heap, Vec<ObjShape>) {
+    let (mut k, mut h) = setup(2 << 20);
+    let tier = FarTier::new(FarDevice::new(512), RetryPolicy::default());
+    k.set_far_tier(Some(tier));
+    let mut shapes = Vec::new();
+    for _ in 0..rng.gen_range(8..40usize) {
+        let shape = match rng.gen_range(0..3u32) {
+            0 => ObjShape::with_refs(rng.gen_range(0..4u32), rng.gen_range(1..700u32)),
+            1 => ObjShape::data_bytes(rng.gen_range(10 * PAGE_SIZE..14 * PAGE_SIZE)),
+            _ => ObjShape::data_bytes(rng.gen_range(10..14u64) * PAGE_SIZE - 16),
+        };
+        let Ok((obj, _)) = h.alloc(&mut k, CORE, shape) else {
+            break;
+        };
+        shapes.push(shape);
+        // The forwarding word too: the hash must skip it.
+        for w in 1..shape.size_words() as u64 {
+            let va = obj.0 + w * WORD_BYTES;
+            k.vmem.write_u64(h.space(), va, rng.next_u64()).unwrap();
+        }
+    }
+    (k, h, shapes)
+}
+
+/// The page-slice content hash equals the per-word reference on random
+/// heaps: fully resident, with random pages demoted (which must hash as
+/// their real bytes, so demotion leaves the hash unchanged), and with an
+/// unmapped hole (the `u64::MAX` path).
+#[test]
+fn content_hash_matches_reference() {
+    check("content_hash_matches_reference", 0x7_3000, 32, |rng| {
+        let (mut k, mut h, shapes) = random_heap(rng);
+        let agree = |k: &Kernel, h: &mut Heap, stage: &str| {
+            let fast = HeapVerifier::new().content_hash(k, h);
+            let slow = reference_hash(k, h);
+            if fast != slow {
+                return Err(format!("{stage}: {fast:#x} != {slow:#x}; {shapes:?}"));
+            }
+            Ok(fast)
+        };
+        let resident = agree(&k, &mut h, "resident")?;
+
+        let base = h.base();
+        let pages = (h.top() - base).div_ceil(PAGE_SIZE);
+        for i in (0..pages).filter(|_| rng.gen_bool(0.3)) {
+            let demoted = k.tier_demote_page(h.space(), base.add_pages(i));
+            demoted.map_err(|e| e.to_string())?;
+        }
+        if agree(&k, &mut h, "demoted")? != resident {
+            return Err(format!("demotion changed the hash; shapes {shapes:?}"));
+        }
+
+        let hole = base.add_pages(rng.gen_range(0..pages));
+        let table = h.space_mut().page_table_mut();
+        table.unmap(hole).map_err(|e| e.to_string())?;
+        if agree(&k, &mut h, "hole")? == resident {
+            return Err(format!("unmapped {hole} left the hash; shapes {shapes:?}"));
+        }
+        Ok(())
     });
 }

@@ -19,30 +19,22 @@
 //!   deterministically after N requests via
 //!   [`DeviceFaultConfig::offline_after`].
 //!
-//! Every slot carries a per-page FNV checksum computed by the host before
-//! writeback and verified on every read, so silent corruption can never
-//! reach the heap. Determinism: exactly one PRNG draw per device request,
-//! so the fault sequence is a pure function of the seed and request count.
+//! Every slot carries a per-page checksum (word-wide FNV-1a,
+//! [`crate::fnv`]) computed by the host before writeback and verified on
+//! every read, so silent corruption can never reach the heap.
+//! Determinism: exactly one PRNG draw per device request, so the fault
+//! sequence is a pure function of the seed and request count.
 //!
 //! The device is *durable*: it survives [`crate::Kernel::reboot`], which
 //! is what makes crash recovery of a half-demoted heap possible.
 
+use crate::fnv::Fnv64;
 use std::fmt;
 use svagc_metrics::{Cycles, SimRng};
 use svagc_vmem::PAGE_SIZE;
 
 /// Bytes per device slot (one page).
 pub const SLOT_BYTES: usize = PAGE_SIZE as usize;
-
-/// FNV-1a over a byte slice (the per-page content checksum).
-pub(crate) fn fnv_bytes(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Identifier of one page-sized slot on the far device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -471,7 +463,7 @@ impl FarDevice {
                 torn[0] ^= 0xFF;
                 self.stats.torn_writebacks += 1;
                 self.slots[slot.0 as usize] = Some(FarSlot {
-                    sum: fnv_bytes(data),
+                    sum: Fnv64::of_le_words(data),
                     data: torn,
                 });
                 self.stats.writebacks += 1;
@@ -486,7 +478,7 @@ impl FarDevice {
             None => {}
         }
         self.slots[slot.0 as usize] = Some(FarSlot {
-            sum: fnv_bytes(data),
+            sum: Fnv64::of_le_words(data),
             data: data.to_vec(),
         });
         self.stats.writebacks += 1;
@@ -511,7 +503,7 @@ impl FarDevice {
         let s = self.slots[slot.0 as usize]
             .as_ref()
             .ok_or(DeviceError::BadSlot(slot))?;
-        if fnv_bytes(&s.data) != s.sum {
+        if Fnv64::of_le_words(&s.data) != s.sum {
             return Err(DeviceError::Corrupt {
                 slot,
                 spent: Cycles(base),
@@ -541,7 +533,7 @@ impl FarDevice {
         let s = self.slots[slot.0 as usize]
             .as_ref()
             .ok_or(DeviceError::BadSlot(slot))?;
-        if fnv_bytes(&s.data) != s.sum {
+        if Fnv64::of_le_words(&s.data) != s.sum {
             return Err(DeviceError::Corrupt {
                 slot,
                 spent: Cycles(base),
@@ -666,6 +658,26 @@ mod tests {
         d.verify(s).unwrap();
         d.read(s, &mut buf).unwrap();
         assert_eq!(buf, page(0x55));
+    }
+
+    #[test]
+    fn one_flipped_byte_anywhere_in_a_slot_is_corrupt() {
+        let mut d = FarDevice::new(1);
+        let s = d.alloc_slot().unwrap();
+        let data: Vec<u8> = (0..SLOT_BYTES).map(|i| (i * 31 % 251) as u8).collect();
+        for off in [0, 7, 8, 2047, 4095] {
+            d.write(s, &data).unwrap();
+            d.slots[s.0 as usize].as_mut().unwrap().data[off] ^= 0x01;
+            assert!(
+                matches!(d.verify(s), Err(DeviceError::Corrupt { .. })),
+                "verify missed a flip at byte {off}"
+            );
+            let mut buf = page(0);
+            assert!(
+                matches!(d.read(s, &mut buf), Err(DeviceError::Corrupt { .. })),
+                "read missed a flip at byte {off}"
+            );
+        }
     }
 
     #[test]

@@ -28,6 +28,8 @@
 //!   become durable write-ahead intents, so a crash at any point leaves a
 //!   log from which recovery can restore a bit-exact pre- or post-cycle
 //!   heap (never a hybrid).
+//! * [`fnv`] — the word-wide FNV-1a fold ([`Fnv64`]) behind the device,
+//!   WAL and heap content checksums.
 //!
 //! All operations return the [`svagc_metrics::Cycles`] consumed so callers
 //! attribute time to the right simulated core.
@@ -38,6 +40,7 @@ pub mod batch;
 pub mod device;
 pub mod error;
 pub mod fault;
+pub mod fnv;
 pub mod memmove;
 pub mod overlap;
 pub mod retry;
@@ -54,6 +57,7 @@ pub use device::{
 };
 pub use error::{RollbackError, SwapVaError};
 pub use fault::{CrashPlan, CrashPoint, FaultConfig, FaultKind, FaultPlan};
+pub use fnv::Fnv64;
 pub use overlap::gcd;
 pub use retry::RetryPolicy;
 pub use shootdown::{FlushMode, Interference};

@@ -251,32 +251,33 @@ impl Kernel {
         self.tier.as_mut()
     }
 
-    /// Tier-aware uncosted functional read: like `vmem.read_u64`, but a
-    /// far page's word is served from its device slot via a fault-free
-    /// peek. The heap verifier reads through this so its invariant checks
-    /// see through the tier without promoting anything (and without
-    /// rolling the device fault plan — observation cannot perturb the
-    /// run). With no tier installed it is exactly `vmem.read_u64`.
-    pub fn read_u64_tiered(
-        &self,
-        space: &AddressSpace,
-        va: VirtAddr,
-    ) -> Result<u64, VmError> {
-        let pa = space.translate(va)?;
+    /// Tier-aware uncosted view of the page holding `va`: a far frame's
+    /// bytes come from its device slot via a fault-free peek, a resident
+    /// frame's from physical memory. This is the one tier-aware read path
+    /// — the heap verifier and the content hash see through the tier with
+    /// it without promoting anything, rolling the device fault plan, or
+    /// touching a counter (observation cannot perturb the run). With no
+    /// tier installed it is exactly the frame's bytes.
+    pub fn page_bytes_tiered(&self, space: &AddressSpace, va: VirtAddr) -> Result<&[u8], VmError> {
+        let frame = space.translate(va)?.frame();
         if let Some(tier) = &self.tier {
-            if let Some(&slot) = tier.residency.get(&pa.frame()) {
-                let data = tier
+            if let Some(&slot) = tier.residency.get(&frame) {
+                return Ok(tier
                     .device
                     .peek(slot)
-                    .expect("residency invariant: a far frame's slot holds data");
-                let off = va.page_offset() as usize;
-                let word: [u8; 8] = data[off..off + 8]
-                    .try_into()
-                    .expect("page-offset word is in the slot");
-                return Ok(u64::from_le_bytes(word));
+                    .expect("residency invariant: a far frame's slot holds data"));
             }
         }
-        self.vmem.phys.read_u64(pa)
+        self.vmem.phys.frame_bytes(frame)
+    }
+
+    /// Tier-aware uncosted functional word read: one word of
+    /// [`Kernel::page_bytes_tiered`]. `va` must be word-aligned.
+    pub fn read_u64_tiered(&self, space: &AddressSpace, va: VirtAddr) -> Result<u64, VmError> {
+        debug_assert_eq!(va.get() % 8, 0, "tiered word reads are aligned");
+        let off = va.page_offset() as usize;
+        let word = &self.page_bytes_tiered(space, va)?[off..off + 8];
+        Ok(u64::from_le_bytes(word.try_into().expect("8 bytes")))
     }
 
     /// Demote the page at `va` to the far tier: write its frame's
@@ -312,14 +313,14 @@ impl Kernel {
         }
         // The demote pass walks the page table functionally (GC-side).
         let mut t = Cycles(self.machine.costs.tlb_refill);
-        let bytes = self.vmem.phys.frame_bytes(frame)?.to_vec();
+        let bytes = self.vmem.phys.frame_bytes(frame)?;
         let slot = tier.device.alloc_slot().map_err(|_| TierError::DeviceFull)?;
         let mut attempts = 0u32;
         loop {
             attempts += 1;
             let wrote = tier
                 .device
-                .write(slot, &bytes)
+                .write(slot, bytes)
                 .and_then(|c| Ok(c + tier.device.verify(slot)?));
             match wrote {
                 Ok(c) => {

@@ -40,9 +40,10 @@
 //!   times — which is exactly what makes recovery itself restartable
 //!   after a double crash.
 //! * **Checksummed framing** — each durable record carries a magic word,
-//!   its length, epoch, sequence number, and an FNV-1a checksum. A crash
-//!   during an append leaves a torn tail that [`WriteAheadLog::scan`]
-//!   detects and discards; everything before it is intact by induction.
+//!   its length, epoch, sequence number, and a word-wide FNV-1a checksum
+//!   ([`crate::fnv`]). A crash during an append leaves a torn tail that
+//!   [`WriteAheadLog::scan`] detects and discards; everything before it
+//!   is intact by induction.
 //!
 //! The log stores opaque `Vec<u64>` metadata payloads in begin/commit
 //! records so the GC layer can persist heap snapshots without this crate
@@ -55,6 +56,7 @@
 
 use crate::error::RollbackError;
 use crate::fault::CrashPoint;
+use crate::fnv::Fnv64;
 use crate::state::{CoreId, Kernel};
 use svagc_metrics::{Cycles, TraceKind};
 use svagc_vmem::{AddressSpace, VirtAddr, PAGE_SIZE, WORD_BYTES};
@@ -72,16 +74,13 @@ pub const TIER_EPOCH: u64 = 0;
 /// epoch, sequence, kind, trailing checksum.
 const FRAME_WORDS: usize = 6;
 
-/// FNV-1a over the little-endian bytes of `words`.
-fn fnv_words(words: &[u64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &w in words {
-        for b in w.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+/// A record frame's checksum: the length, epoch, sequence and kind words,
+/// then the body, folded word-wide.
+fn frame_sum(epoch: u64, seq: u64, kind: u64, body: &[u64]) -> u64 {
+    let mut h = Fnv64::new();
+    h.words(&[body.len() as u64, epoch, seq, kind]);
+    h.words(body);
+    h.finish()
 }
 
 /// One mutation with the absolute pre-state needed to undo it
@@ -204,11 +203,11 @@ impl WalOp {
                     buf[..chunk.len()].copy_from_slice(chunk);
                     w.push(u64::from_le_bytes(buf));
                 }
-                let sum = fnv_words(&w[3..]);
+                let sum = Fnv64::of_words(&w[3..]);
                 w.push(sum);
                 w
             }
-            WalOp::Word { at, pre } => vec![3, at.get(), pre, fnv_words(&[pre])],
+            WalOp::Word { at, pre } => vec![3, at.get(), pre, Fnv64::of_words(&[pre])],
         }
     }
 
@@ -250,7 +249,7 @@ impl WalOp {
                 if w.len() != 4 + data_words {
                     return None;
                 }
-                if fnv_words(&w[3..3 + data_words]) != w[3 + data_words] {
+                if Fnv64::of_words(&w[3..3 + data_words]) != w[3 + data_words] {
                     return Some(DecodedOp::BadPreimage);
                 }
                 let bytes = pre.bytes.len();
@@ -268,7 +267,7 @@ impl WalOp {
                 if w.len() != 4 {
                     return None;
                 }
-                if fnv_words(&[w[2]]) != w[3] {
+                if Fnv64::of_words(&[w[2]]) != w[3] {
                     return Some(DecodedOp::BadPreimage);
                 }
                 Some(DecodedOp::Ok(WalOp::Word {
@@ -591,9 +590,7 @@ impl WriteAheadLog {
         frame.push(seq);
         frame.push(kind);
         frame.extend_from_slice(&body);
-        let mut sum_input = vec![body.len() as u64, epoch, seq, kind];
-        sum_input.extend_from_slice(&body);
-        frame.push(fnv_words(&sum_input));
+        frame.push(frame_sum(epoch, seq, kind, &body));
         if tear {
             // Power failed partway through the log write: keep a strict
             // prefix (at least the magic so the tear is visible, never the
@@ -625,9 +622,7 @@ impl WriteAheadLog {
                 }
                 let (epoch, seq, kind) = (w[at + 2], w[at + 3], w[at + 4]);
                 let body = &w[at + 5..at + 5 + body_len];
-                let mut sum_input = vec![body_len as u64, epoch, seq, kind];
-                sum_input.extend_from_slice(body);
-                if w[at + total - 1] != fnv_words(&sum_input) {
+                if w[at + total - 1] != frame_sum(epoch, seq, kind, body) {
                     return None;
                 }
                 let payload = WalPayload::decode(kind, body, &mut out.preimages)?;

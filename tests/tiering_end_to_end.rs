@@ -206,6 +206,44 @@ fn crash_mid_promote_fetch_recovers_verified() {
     );
 }
 
+/// Crash matrix, GC-cycle teeth under tiering: the machine dies around
+/// the 25th SwapVA batch while pages sit on the far tier. The WAL's begin
+/// and commit hashes must cover the far pages' real bytes — recovery
+/// promotes every page before it hashes, so a hash taken over zeroed far
+/// frames could never match and every crash would fail closed as a
+/// hybrid heap.
+#[test]
+fn crash_mid_cycle_with_far_pages_recovers_verified() {
+    for point in [
+        CrashPoint::BeforeBatchApply,
+        CrashPoint::InsideBatchApply,
+        CrashPoint::AfterBatchApply,
+    ] {
+        let mut w = suite::by_name(SEED_WORKLOAD).unwrap();
+        let cfg = RunConfig::new(CollectorKind::Svagc)
+            .with_verify_phases(true)
+            .with_tiering(0.3)
+            .with_crash_plans(vec![CrashPlan::nth(point, 25)]);
+        let rep = match run_with_crash(w.as_mut(), &cfg, true)
+            .unwrap_or_else(|f| panic!("{point:?}: {}", f.message))
+        {
+            CrashOutcome::Crashed(rep) => *rep,
+            CrashOutcome::Completed(_) => panic!("{point:?}: the crash point never fired"),
+        };
+        assert_eq!(rep.point, point);
+        let report = rep
+            .recovery
+            .expect("recovery was requested")
+            .outcome
+            .unwrap_or_else(|e| panic!("{point:?}: recovery failed closed: {e}"));
+        assert!(report.objects > 0 && report.roots > 0, "{point:?}");
+        assert!(
+            report.far_restored > 0,
+            "{point:?}: pages were far at the crash and must be restored"
+        );
+    }
+}
+
 /// Tiering composes with SwapVA kernel fault injection: both fault
 /// planes active at once, heap still bit-identical to the clean
 /// DRAM-only run.
