@@ -6,10 +6,10 @@
 //! We reproduce it by running the instrumented access streams of both paths
 //! through this model.
 //!
-//! The model is a classic inclusive three-level hierarchy with true-LRU
-//! sets. It is intentionally single-observer (one `&mut` user); concurrency
-//! is handled a level up by instrumenting one logical core at a time.
-
+//! The model is a three-level, fill-on-miss, non-inclusive hierarchy with
+//! true-LRU sets (see [`CacheHierarchy`]). It is intentionally
+//! single-observer (one `&mut` user); concurrency is handled a level up by
+//! instrumenting one logical core at a time.
 
 /// Whether an access reads or writes (writes allocate like reads here;
 /// a write-allocate, write-back policy is assumed).
@@ -81,32 +81,89 @@ impl CacheGeometry {
     }
 }
 
-/// One set-associative, true-LRU cache level.
+/// The in-set tag a cache way stores, at some width. `INVALID` marks an
+/// empty way; no line's tag equals it.
+pub trait WayTag: Copy + PartialEq {
+    /// Marks an invalid way.
+    const INVALID: Self;
+
+    /// In-set tag `tag` of the line holding `addr`, at this width.
+    ///
+    /// # Panics
+    ///
+    /// If `tag` does not fit — a simulator invariant (see
+    /// [`CacheHierarchy`]).
+    fn narrow(tag: u64, addr: u64) -> Self;
+}
+
+impl WayTag for u64 {
+    const INVALID: u64 = u64::MAX;
+
+    #[inline(always)]
+    fn narrow(tag: u64, _addr: u64) -> u64 {
+        tag
+    }
+}
+
+impl WayTag for u32 {
+    const INVALID: u32 = u32::MAX;
+
+    #[inline(always)]
+    fn narrow(tag: u64, addr: u64) -> u32 {
+        if tag >= u64::from(u32::MAX) {
+            narrowing_failed(tag, addr);
+        }
+        tag as u32
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn narrowing_failed(tag: u64, addr: u64) -> ! {
+    panic!(
+        "simulator invariant: address {addr:#x} has in-set tag {tag:#x}, \
+         which does not fit a 32-bit cache way"
+    )
+}
+
+/// One set-associative, true-LRU cache level with `T`-wide tags.
 ///
 /// Each set's ways are stored in recency order, most recently used
-/// first; invalid ways (`u64::MAX`) sit at the tail. A hit moves its tag
-/// to the front, a miss shifts the set down one way and drops the tail —
-/// an invalid way if the set has one, otherwise the least recently used
-/// line. Lookup is associative within the set, so the hit/miss sequence
-/// is exactly that of a per-way LRU-stamp model, with half the memory and
-/// no victim scan.
+/// first; invalid ways sit at the tail. An access carries its tag in at
+/// the front and shifts each way down by one until it displaces its own
+/// tag (a hit) or drops the tail (a miss) — an invalid way if the set has
+/// one, otherwise the least recently used line. Lookup is associative
+/// within the set, so the hit/miss sequence is exactly that of a per-way
+/// LRU-stamp model, with half the memory and no victim scan.
+///
+/// A way stores the line's in-set tag, `line >> set_bits`: every line of
+/// a set shares its low `set_bits`, so the quotient names the line within
+/// the set.
 #[derive(Debug, Clone)]
-pub struct SetAssocCache {
+pub struct SetAssocCache<T: WayTag = u64> {
     sets: usize,
     ways: usize,
     line_shift: u32,
-    /// `sets * ways` line tags, each set ordered MRU → LRU;
-    /// `u64::MAX` = invalid.
-    tags: Vec<u64>,
+    set_bits: u32,
+    /// `sets * ways` in-set tags, each set ordered MRU → LRU.
+    tags: Vec<T>,
     hits: u64,
     misses: u64,
 }
 
 impl SetAssocCache {
     /// Build a cache of `size_bytes` with `ways`-way sets of
-    /// `line_bytes`-byte lines. `size_bytes` must be a multiple of
-    /// `ways * line_bytes` and the set count must be a power of two.
+    /// `line_bytes`-byte lines and 64-bit tags. `size_bytes` must be a
+    /// multiple of `ways * line_bytes` and the set count must be a power
+    /// of two.
     pub fn new(size_bytes: usize, ways: usize, line_bytes: usize) -> SetAssocCache {
+        SetAssocCache::with_tags(size_bytes, ways, line_bytes)
+    }
+}
+
+impl<T: WayTag> SetAssocCache<T> {
+    /// [`SetAssocCache::new`] at any tag width.
+    fn with_tags(size_bytes: usize, ways: usize, line_bytes: usize) -> SetAssocCache<T> {
         assert!(line_bytes.is_power_of_two(), "line size must be 2^k");
         let sets = size_bytes / (ways * line_bytes);
         assert!(sets.is_power_of_two(), "set count must be 2^k (got {sets})");
@@ -114,7 +171,8 @@ impl SetAssocCache {
             sets,
             ways,
             line_shift: line_bytes.trailing_zeros(),
-            tags: vec![u64::MAX; sets * ways],
+            set_bits: sets.trailing_zeros(),
+            tags: vec![T::INVALID; sets * ways],
             hits: 0,
             misses: 0,
         }
@@ -125,26 +183,28 @@ impl SetAssocCache {
     pub fn access(&mut self, addr: u64) -> bool {
         let line = addr >> self.line_shift;
         let base = ((line as usize) & (self.sets - 1)) * self.ways;
-        let slots = &mut self.tags[base..base + self.ways];
-        let hit = match slots.iter().position(|&t| t == line) {
-            Some(w) => {
-                slots.copy_within(..w, 1);
-                self.hits += 1;
-                true
+        let tag = T::narrow(line >> self.set_bits, addr);
+        let mut carry = tag;
+        let mut hit = false;
+        for way in &mut self.tags[base..base + self.ways] {
+            let held = std::mem::replace(way, carry);
+            if held == tag {
+                hit = true;
+                break;
             }
-            None => {
-                slots.copy_within(..self.ways - 1, 1);
-                self.misses += 1;
-                false
-            }
-        };
-        slots[0] = line;
+            carry = held;
+        }
+        if hit {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
         hit
     }
 
     /// Invalidate everything (e.g. between benchmark repetitions).
     pub fn flush(&mut self) {
-        self.tags.fill(u64::MAX);
+        self.tags.fill(T::INVALID);
     }
 
     /// (hits, misses) since construction or [`Self::reset_stats`].
@@ -164,12 +224,26 @@ impl SetAssocCache {
     }
 }
 
-/// Three-level inclusive hierarchy with per-level stats.
+/// Three-level hierarchy with per-level stats: fill-on-miss at every
+/// level, non-inclusive.
+///
+/// An access looks up L1, then L2, then the LLC, and stops at the first
+/// hit; every level it reached and missed fills the line. Nothing
+/// back-invalidates: an LLC eviction leaves the line in L1 and L2, and a
+/// hit in L1 or L2 does not refresh the line's recency below it.
+///
+/// L1 keeps 64-bit in-set tags; L2 and the LLC keep 32-bit ones. Every
+/// simulated address is below `2^47`, the kernel's page-table shadow
+/// lines included (`2^45` plus `level << 40`). With 64-byte lines and at
+/// least 1024 sets, as L2 and the LLC have in both Skylake geometries, an
+/// in-set tag is then below `2^31`. The L1's 64 sets leave shadow lines
+/// 35-bit tags, so it stays wide. Each L2 and LLC access checks the
+/// narrowing and panics on a tag that does not fit.
 #[derive(Debug, Clone)]
 pub struct CacheHierarchy {
-    l1: SetAssocCache,
-    l2: SetAssocCache,
-    llc: SetAssocCache,
+    l1: SetAssocCache<u64>,
+    l2: SetAssocCache<u32>,
+    llc: SetAssocCache<u32>,
     /// Total accesses presented to the hierarchy.
     accesses: u64,
 }
@@ -179,14 +253,19 @@ impl CacheHierarchy {
     pub fn new(geo: &CacheGeometry) -> CacheHierarchy {
         CacheHierarchy {
             l1: SetAssocCache::new(geo.l1_bytes, geo.l1_ways, geo.line_bytes),
-            l2: SetAssocCache::new(geo.l2_bytes, geo.l2_ways, geo.line_bytes),
-            llc: SetAssocCache::new(geo.llc_bytes, geo.llc_ways, geo.line_bytes),
+            l2: SetAssocCache::with_tags(geo.l2_bytes, geo.l2_ways, geo.line_bytes),
+            llc: SetAssocCache::with_tags(geo.llc_bytes, geo.llc_ways, geo.line_bytes),
             accesses: 0,
         }
     }
 
     /// Route one access through the hierarchy; returns the servicing level.
-    /// Lower levels are filled on the way back (inclusive).
+    /// Every level that missed on the way fills the line.
+    ///
+    /// # Panics
+    ///
+    /// If the access reaches L2 or the LLC with an in-set tag that does not
+    /// fit 32 bits — an address outside the simulated address space.
     pub fn access(&mut self, addr: u64, _kind: AccessKind) -> CacheLevel {
         self.accesses += 1;
         if self.l1.access(addr) {

@@ -1,13 +1,15 @@
 //! Property tests of the measurement substrate: cache replacement laws,
-//! agreement of the recency-ordered cache with a stamp-based true-LRU
-//! model, and perf-counter algebra.
+//! agreement of the recency-ordered cache and of the three-level hierarchy
+//! with stamp-based true-LRU models, and perf-counter algebra.
 //!
 //! Offline std-only: each property runs over many cases drawn from the
 //! deterministic `SimRng` (splitmix64). A failing case panics with the
 //! property name, the case's seed, and the generated inputs, so it
 //! reproduces from the message alone.
 
-use svagc_metrics::{PerfCounters, SetAssocCache, SimRng};
+use svagc_metrics::{
+    AccessKind, CacheGeometry, CacheHierarchy, CacheLevel, PerfCounters, SetAssocCache, SimRng,
+};
 
 /// Run `property` on `cases` generated cases. Case `i` draws its inputs
 /// from `SimRng::seed_from_u64(base_seed + i)`; a failure reports that
@@ -195,4 +197,167 @@ fn recency_order_matches_stamp_lru() {
         }
         Ok(())
     });
+}
+
+/// Three `StampLru` levels composed the way `CacheHierarchy` composes its
+/// own: look up L1, L2, then the LLC, stop at the first hit, and fill every
+/// level that missed on the way.
+struct StampHierarchy {
+    line_bytes: u64,
+    levels: [StampLru; 3],
+    stats: [(u64, u64); 3],
+}
+
+impl StampHierarchy {
+    fn new(geo: &CacheGeometry) -> StampHierarchy {
+        let level =
+            |bytes: usize, ways: usize| StampLru::new(bytes / (ways * geo.line_bytes), ways);
+        StampHierarchy {
+            line_bytes: geo.line_bytes as u64,
+            levels: [
+                level(geo.l1_bytes, geo.l1_ways),
+                level(geo.l2_bytes, geo.l2_ways),
+                level(geo.llc_bytes, geo.llc_ways),
+            ],
+            stats: [(0, 0); 3],
+        }
+    }
+
+    fn access(&mut self, addr: u64) -> CacheLevel {
+        let line = addr / self.line_bytes;
+        let servicing = [CacheLevel::L1, CacheLevel::L2, CacheLevel::Llc];
+        for (i, level) in self.levels.iter_mut().enumerate() {
+            if level.access(line) {
+                self.stats[i].0 += 1;
+                return servicing[i];
+            }
+            self.stats[i].1 += 1;
+        }
+        CacheLevel::Memory
+    }
+
+    fn flush(&mut self) {
+        self.levels.iter_mut().for_each(StampLru::flush);
+    }
+}
+
+/// A random geometry with 1–16 ways per level and 64-byte lines. L2 and
+/// the LLC get at least 1024 sets, as both Skylake geometries have, so
+/// every simulated address fits their 32-bit in-set tags.
+fn random_geometry(rng: &mut SimRng) -> CacheGeometry {
+    let mut level = |min_set_bits: usize, max_set_bits: usize| {
+        let ways = rng.gen_range(1..=16usize);
+        let sets = 1usize << rng.gen_range(min_set_bits..=max_set_bits);
+        (sets * ways * 64, ways)
+    };
+    let (l1_bytes, l1_ways) = level(0, 6);
+    let (l2_bytes, l2_ways) = level(10, 11);
+    let (llc_bytes, llc_ways) = level(10, 12);
+    CacheGeometry {
+        l1_bytes,
+        l1_ways,
+        l2_bytes,
+        l2_ways,
+        llc_bytes,
+        llc_ways,
+        line_bytes: 64,
+    }
+}
+
+/// `CacheHierarchy` agrees with three composed stamp models on the
+/// servicing level of every access and on `level_stats()`. Geometries are
+/// the two Skylake ones and random small ones. Traces mix page-long
+/// sequential runs (the `Kernel::stream_lines` pattern), random lines and
+/// page-table shadow lines (`2^45` plus `level << 40`), so the L1's 64-bit
+/// tags and the 32-bit tags of L2 and the LLC all run. Addresses sit a
+/// multiple of the largest level's set span apart, so they collide in the
+/// same sets and every level evicts.
+#[test]
+fn hierarchy_matches_composed_stamp_lru() {
+    check(
+        "hierarchy_matches_composed_stamp_lru",
+        0x5_0000,
+        48,
+        |rng| {
+            let geo = match rng.gen_range(0..4u64) {
+                0 => CacheGeometry::client_skylake(),
+                1 => CacheGeometry::server_skylake(),
+                _ => random_geometry(rng),
+            };
+            let mut cache = CacheHierarchy::new(&geo);
+            let mut model = StampHierarchy::new(&geo);
+            let max_sets = [
+                (geo.l1_bytes, geo.l1_ways),
+                (geo.l2_bytes, geo.l2_ways),
+                (geo.llc_bytes, geo.llc_ways),
+            ]
+            .iter()
+            .map(|&(bytes, ways)| bytes / (ways * geo.line_bytes))
+            .max()
+            .unwrap();
+            let span = (max_sets * geo.line_bytes) as u64;
+            let max_ways = geo.l1_ways.max(geo.l2_ways).max(geo.llc_ways) as u64;
+            let rows = rng.gen_range(1..=2 * max_ways + 2);
+            let pages: Vec<u64> = (0..rng.gen_range(1..=3 * max_ways))
+                .map(|_| rng.gen_range(0..rows) * span + rng.gen_range(0..4u64) * 4096)
+                .collect();
+            let runs = rng.gen_range(1..120usize);
+            // `None` flushes both.
+            let mut addrs = Vec::new();
+            for _ in 0..runs {
+                let page = pages[rng.gen_range(0..pages.len())];
+                match rng.gen_range(0..3u64) {
+                    0 => addrs.extend((0..64).map(|l| Some(page + l * 64))),
+                    1 => addrs.extend((0..rng.gen_range(1..32u64)).map(|_| {
+                        Some(pages[rng.gen_range(0..pages.len())] + rng.gen_range(0..4096u64))
+                    })),
+                    _ => addrs.extend((0..rng.gen_range(1..32u64)).map(|_| {
+                        Some(
+                            (1 << 45)
+                                + (rng.gen_range(0..4u64) << 40)
+                                + rng.gen_range(0..rows) * span
+                                + rng.gen_range(0..512u64) * 8,
+                        )
+                    })),
+                }
+                if rng.gen_bool(0.02) {
+                    addrs.push(None);
+                }
+            }
+            let mut accesses = 0u64;
+            for (step, &addr) in addrs.iter().enumerate() {
+                let Some(addr) = addr else {
+                    cache.flush();
+                    model.flush();
+                    continue;
+                };
+                let (got, want) = (cache.access(addr, AccessKind::Read), model.access(addr));
+                accesses += 1;
+                if got != want {
+                    return Err(format!(
+                        "step {step}: addr {addr:#x} serviced by {got:?}, model {want:?} ({geo:?})"
+                    ));
+                }
+            }
+            if cache.level_stats() != model.stats || cache.accesses() != accesses {
+                return Err(format!(
+                    "stats {:?} over {} accesses vs model {:?} over {accesses} ({geo:?})",
+                    cache.level_stats(),
+                    cache.accesses(),
+                    model.stats
+                ));
+            }
+            Ok(())
+        },
+    );
+}
+
+/// An L2 address whose in-set tag does not fit 32 bits trips the narrowing
+/// check instead of aliasing another line. The client L2 has 1024 sets of
+/// 64-byte lines, so its in-set tag is `addr >> 16`.
+#[test]
+#[should_panic(expected = "does not fit a 32-bit cache way")]
+fn l2_narrowing_check_trips() {
+    let mut cache = CacheHierarchy::new(&CacheGeometry::client_skylake());
+    cache.access(1 << 48, AccessKind::Read);
 }
