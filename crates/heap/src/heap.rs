@@ -439,6 +439,7 @@ impl Heap {
     // ---- object access --------------------------------------------------
 
     /// Read and decode an object header (costed).
+    #[inline]
     pub fn read_header(
         &self,
         kernel: &mut Kernel,
@@ -450,6 +451,7 @@ impl Heap {
     }
 
     /// Read reference field `i` (costed).
+    #[inline]
     pub fn read_ref(
         &self,
         kernel: &mut Kernel,
@@ -462,6 +464,7 @@ impl Heap {
     }
 
     /// Write reference field `i` (costed).
+    #[inline]
     pub fn write_ref(
         &self,
         kernel: &mut Kernel,
@@ -475,6 +478,7 @@ impl Heap {
 
     /// Read data word `i` of an object with `num_refs` reference fields
     /// (costed).
+    #[inline]
     pub fn read_data(
         &self,
         kernel: &mut Kernel,
@@ -488,6 +492,7 @@ impl Heap {
     }
 
     /// Write data word `i` (costed).
+    #[inline]
     pub fn write_data(
         &self,
         kernel: &mut Kernel,

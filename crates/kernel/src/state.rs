@@ -206,6 +206,7 @@ impl Kernel {
 
     /// Route a data access at physical address `pa` through the cache
     /// hierarchy (if instrumented) and return its latency.
+    #[inline]
     fn cache_access(&mut self, pa: PhysAddr, kind: AccessKind) -> Cycles {
         let costs = &self.machine.costs;
         match self.cache.as_mut() {
@@ -253,12 +254,14 @@ impl Kernel {
     ///
     /// Only the first line of each page is really translated. Every other
     /// line on that page is an L1 DTLB hit on the entry the translation
-    /// just left resident (nothing in between touches the TLB), so those
-    /// hits are applied in closed form ([`Tlb::repeat_l1_hits`], 1 cycle
-    /// each); the far-tier hook is a no-op for them (the first line's
-    /// fetch left the frame resident and already marked touched), and the
-    /// TLB oracle, when enabled, still checks each one. Errors propagate
-    /// from the failing line, as the per-line loop's would.
+    /// just left at the front of its recency-ordered set (nothing in
+    /// between touches the TLB), and a hit there changes no TLB state, so
+    /// those hits are applied in closed form ([`Tlb::repeat_l1_hits`]:
+    /// lookups counted, 1 cycle each); the far-tier hook is a no-op for
+    /// them (the first line's fetch left the frame resident and already
+    /// marked touched), and the TLB oracle, when enabled, still checks
+    /// each one. Errors propagate from the failing line, as the per-line
+    /// loop's would.
     pub fn stream_lines(
         &mut self,
         space: &AddressSpace,
@@ -318,6 +321,7 @@ impl Kernel {
 
     /// Translate `va` in `space` on `core`, consulting that core's TLB and
     /// charging refills on miss.
+    #[inline]
     pub fn translate(
         &mut self,
         space: &AddressSpace,
@@ -362,6 +366,7 @@ impl Kernel {
     }
 
     /// Read one word through `space` on `core`, with full charging.
+    #[inline]
     pub fn read_word(
         &mut self,
         space: &AddressSpace,
@@ -379,6 +384,7 @@ impl Kernel {
     /// this is how GC metadata writes (forwarding pointers, adjusted
     /// reference fields) become undoable without any collector-side
     /// bookkeeping.
+    #[inline]
     pub fn write_word(
         &mut self,
         space: &AddressSpace,

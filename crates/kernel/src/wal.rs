@@ -818,6 +818,7 @@ impl Kernel {
     /// `may_crash` is set, a pending [`CrashPoint::MidLogAppend`] fires
     /// here: the frame is torn mid-write and the error tells the caller
     /// the machine is gone (the operation must NOT be applied).
+    #[inline]
     pub(crate) fn wal_record(&mut self, op: WalOp, may_crash: bool) -> Result<Cycles, CrashPoint> {
         let mut t = Cycles::ZERO;
         if let Some(epoch) = self.wal.open_epoch.filter(|_| self.wal.enabled) {

@@ -98,6 +98,7 @@ impl PageTable {
         self.mapped
     }
 
+    #[inline]
     fn pte_table(&self, va: VirtAddr) -> Option<&PteTable> {
         self.pgd[va.pgd_index()]
             .as_deref()?
@@ -146,6 +147,7 @@ impl PageTable {
     }
 
     /// Translate a virtual address to a physical one.
+    #[inline]
     pub fn translate(&self, va: VirtAddr) -> Result<PhysAddr, VmError> {
         match self.pte(va) {
             Some(pte) if pte.present() => Ok(pte.frame().base() + va.page_offset()),

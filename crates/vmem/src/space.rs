@@ -61,6 +61,7 @@ impl AddressSpace {
     }
 
     /// Translate, or error if unmapped.
+    #[inline]
     pub fn translate(&self, va: VirtAddr) -> Result<PhysAddr, VmError> {
         self.pt.translate(va)
     }

@@ -6,6 +6,9 @@
 //! layer decides *when* to flush (per-call global vs pinned/local); this
 //! module implements the state machine and counts lookups/misses for the
 //! Table III DTLB columns.
+//!
+//! Each level is true LRU, with every set kept in recency order rather
+//! than stamped, so a hit on the most recently used way writes nothing.
 
 use crate::addr::{Asid, FrameId};
 
@@ -45,20 +48,22 @@ impl TlbConfig {
     }
 }
 
-/// One set-associative TLB level, stored structure-of-arrays so the
-/// per-access hot path ([`TlbArray::lookup`]) compares exactly one `u64`
-/// tag per way instead of three separately-loaded fields. An entry's tag
-/// packs `(vpn << 16) | asid` (asids are `u16`); validity lives in the
-/// LRU stamp (`0` = invalid — the tick pre-increments, so every real
-/// stamp is ≥ 1). The simulated state machine is bit-identical to the
-/// naive array-of-structs it replaced: hits, misses, LRU victims, and
-/// flush effects all agree, which the perf gate pins via `sim_digest`.
+/// One set-associative, true-LRU TLB level, stored structure-of-arrays
+/// so the per-access hot path ([`TlbArray::lookup`]) compares exactly one
+/// `u64` tag per way. An entry's tag packs `(vpn << 16) | asid` (asids
+/// are `u16`); [`INVALID`] marks an empty way.
 ///
-/// Unlike the data caches (`svagc_metrics::SetAssocCache`, which keeps
-/// each set in recency order), the TLB keeps explicit stamps: flushes
-/// invalidate single entries in place, and a run of `n` back-to-back hits
-/// on one entry collapses to one stamp write
-/// ([`TlbArray::repeat_hits`]).
+/// Like the data caches (`svagc_metrics::SetAssocCache`), each set keeps
+/// its ways in recency order, most recently used first. A hit moves its
+/// way to the front in one carry-through pass over tags and frames; an
+/// insert refills the first invalid way, or the least recently used way
+/// if none is invalid, and moves it to the front; a page flush marks its
+/// way invalid in place, leaving the other ways' order as it was. This is
+/// exactly the per-way LRU-stamp model it replaced: the victim depends
+/// only on the recency order of the valid ways, which both keep, and
+/// which invalid way an insert refills cannot be observed. Hits, misses,
+/// LRU victims and flush effects all agree, which the perf gate pins via
+/// `sim_digest` and `tests/tlb_props.rs` checks against the stamp model.
 ///
 /// `resident` counts the valid entries of each address space, updated
 /// wherever validity changes (`insert`, `flush_*`; lookups never change
@@ -68,33 +73,49 @@ impl TlbConfig {
 struct TlbArray {
     sets: usize,
     ways: usize,
-    /// `(vpn << 16) | asid` per entry; meaningless while `stamps[i] == 0`.
+    /// `(vpn << 16) | asid` per way, each set ordered MRU → LRU;
+    /// [`INVALID`] for an empty way.
     tags: Vec<u64>,
-    /// LRU stamp per entry; `0` marks the entry invalid.
-    stamps: Vec<u64>,
+    /// The cached frame of each way; meaningless while its tag is
+    /// [`INVALID`].
     frames: Vec<FrameId>,
-    tick: u64,
     /// `(asid, valid entries)` for every ASID with at least one valid
     /// entry. Runs hold one to a few ASIDs, so a linear table suffices.
     resident: Vec<(u16, u32)>,
 }
 
+/// The tag of an invalid way. [`tag_of`] never produces it: it would need
+/// the low 48 bits of the VPN all set, and every simulated VA is below
+/// 2^48, so every VPN is below 2^36.
+const INVALID: u64 = u64::MAX;
+
 #[inline]
 fn tag_of(asid: Asid, vpn: u64) -> u64 {
+    if vpn >> 36 != 0 {
+        vpn_out_of_range(vpn);
+    }
     (vpn << 16) | asid.0 as u64
+}
+
+#[cold]
+#[inline(never)]
+fn vpn_out_of_range(vpn: u64) -> ! {
+    panic!("simulator invariant: vpn {vpn:#x} lies beyond the 48-bit virtual address space")
 }
 
 impl TlbArray {
     fn new(entries: usize, ways: usize) -> TlbArray {
+        assert!(
+            ways >= 1,
+            "TLB invariant: associativity (ways) is at least 1"
+        );
         let sets = entries / ways;
         assert!(sets.is_power_of_two(), "TLB set count must be 2^k");
         TlbArray {
             sets,
             ways,
-            tags: vec![0; entries],
-            stamps: vec![0; entries],
+            tags: vec![INVALID; entries],
             frames: vec![FrameId::default(); entries],
-            tick: 0,
             resident: Vec::new(),
         }
     }
@@ -118,79 +139,100 @@ impl TlbArray {
         }
     }
 
+    #[inline]
     fn set_of(&self, vpn: u64) -> usize {
         (vpn as usize) & (self.sets - 1)
     }
 
+    /// Put `(tag, frame)` at the front of the set starting at `base`,
+    /// shifting ways `base .. base + w` down by one over way `base + w`,
+    /// whose old content drops out.
+    #[inline]
+    fn move_to_front(&mut self, base: usize, w: usize, mut tag: u64, mut frame: FrameId) {
+        let ways = base..=base + w;
+        for (t, f) in self.tags[ways.clone()]
+            .iter_mut()
+            .zip(&mut self.frames[ways])
+        {
+            tag = std::mem::replace(t, tag);
+            frame = std::mem::replace(f, frame);
+        }
+    }
+
     #[inline]
     fn lookup(&mut self, asid: Asid, vpn: u64) -> Option<FrameId> {
-        self.tick += 1;
         let tag = tag_of(asid, vpn);
         let base = self.set_of(vpn) * self.ways;
-        for w in base..base + self.ways {
-            if self.tags[w] == tag && self.stamps[w] != 0 {
-                self.stamps[w] = self.tick;
-                return Some(self.frames[w]);
-            }
+        if self.tags[base] == tag {
+            return Some(self.frames[base]);
         }
-        None
+        self.lookup_behind_front(base, tag)
     }
 
-    /// The state `n` consecutive hitting [`TlbArray::lookup`]s of the
-    /// resident entry `(asid, vpn)` leave behind: the tick advances by
-    /// `n` and the entry's stamp is the last of them.
-    fn repeat_hits(&mut self, asid: Asid, vpn: u64, n: u64) {
-        let tag = tag_of(asid, vpn);
+    /// [`TlbArray::lookup`] past the front way: a hit moves to the front.
+    /// Out of line, so the front-way hit that callers inline stays small.
+    #[inline(never)]
+    fn lookup_behind_front(&mut self, base: usize, tag: u64) -> Option<FrameId> {
+        let w = 1 + self.tags[base + 1..base + self.ways]
+            .iter()
+            .position(|&t| t == tag)?;
+        let frame = self.frames[base + w];
+        self.move_to_front(base, w, tag, frame);
+        Some(frame)
+    }
+
+    /// Further hitting [`TlbArray::lookup`]s of an entry at the front of
+    /// its set change nothing. Panics if `(asid, vpn)` is not there.
+    #[inline]
+    fn assert_front(&self, asid: Asid, vpn: u64) {
         let base = self.set_of(vpn) * self.ways;
-        let w = (base..base + self.ways)
-            .find(|&w| self.tags[w] == tag && self.stamps[w] != 0)
-            .expect("repeat_hits caller guarantees the entry is resident");
-        self.tick += n;
-        self.stamps[w] = self.tick;
+        assert!(
+            self.tags[base] == tag_of(asid, vpn),
+            "repeat_l1_hits caller guarantees the entry is at the front of its L1 set"
+        );
     }
 
+    /// Fill `(asid, vpn)`, which must not be resident in this level (the
+    /// kernel inserts only after a miss).
+    #[inline]
     fn insert(&mut self, asid: Asid, vpn: u64, frame: FrameId) {
-        self.tick += 1;
         let base = self.set_of(vpn) * self.ways;
-        // Stamps order exactly as the old `valid ? stamp + 1 : 0` key:
-        // invalid (0) sorts before every valid stamp (>= 1), ties among
-        // invalid ways break to the lowest index.
-        let victim = (base..base + self.ways)
-            .min_by_key(|&w| self.stamps[w])
-            .expect("TLB invariant: associativity (ways) is at least 1");
+        let set = &self.tags[base..base + self.ways];
+        let victim = set
+            .iter()
+            .position(|&t| t == INVALID)
+            .unwrap_or(self.ways - 1);
+        let old = set[victim];
         // Evicting a valid entry of the same ASID leaves its count as is.
-        if self.stamps[victim] == 0 {
+        if old == INVALID {
             self.count_valid(asid.0);
-        } else if self.tags[victim] as u16 != asid.0 {
-            self.count_invalid(self.tags[victim] as u16);
+        } else if old as u16 != asid.0 {
+            self.count_invalid(old as u16);
             self.count_valid(asid.0);
         }
-        self.tags[victim] = tag_of(asid, vpn);
-        self.stamps[victim] = self.tick;
-        self.frames[victim] = frame;
+        self.move_to_front(base, victim, tag_of(asid, vpn), frame);
     }
 
     fn flush_all(&mut self) {
-        self.stamps.fill(0);
+        self.tags.fill(INVALID);
         self.resident.clear();
     }
 
-    /// An entry is invalid exactly when its stamp is 0, so clearing
-    /// stamps that are already 0 changes nothing: an array holding none
-    /// of `asid` returns at once, and one holding only `asid` clears
-    /// every stamp without comparing tags.
+    /// Invalidating a way that is already invalid changes nothing, so an
+    /// array holding none of `asid` returns at once, and one holding only
+    /// `asid` invalidates every way without comparing tags.
     fn flush_asid(&mut self, asid: Asid) {
         let Some(i) = self.resident.iter().position(|&(a, _)| a == asid.0) else {
             return;
         };
         self.resident.swap_remove(i);
         if self.resident.is_empty() {
-            self.stamps.fill(0);
+            self.tags.fill(INVALID);
             return;
         }
-        for (s, &t) in self.stamps.iter_mut().zip(self.tags.iter()) {
-            if t as u16 == asid.0 {
-                *s = 0;
+        for t in self.tags.iter_mut() {
+            if *t as u16 == asid.0 {
+                *t = INVALID;
             }
         }
     }
@@ -199,8 +241,8 @@ impl TlbArray {
         let tag = tag_of(asid, vpn);
         let base = self.set_of(vpn) * self.ways;
         for w in base..base + self.ways {
-            if self.tags[w] == tag && self.stamps[w] != 0 {
-                self.stamps[w] = 0;
+            if self.tags[w] == tag {
+                self.tags[w] = INVALID;
                 self.count_invalid(asid.0);
             }
         }
@@ -239,6 +281,7 @@ impl Tlb {
 
     /// Look up `(asid, vpn)`. Hits in the STLB are promoted to L1. Misses
     /// must be followed by [`Tlb::insert`] after the page walk.
+    #[inline]
     pub fn lookup(&mut self, asid: Asid, vpn: u64) -> (TlbHit, Option<FrameId>) {
         self.lookups += 1;
         if let Some(f) = self.l1.lookup(asid, vpn) {
@@ -254,15 +297,20 @@ impl Tlb {
     }
 
     /// Account `n` further L1 hits on `(asid, vpn)` in closed form —
-    /// exactly what `n` back-to-back [`Tlb::lookup`]s leave behind when
-    /// the entry is resident in the L1 DTLB (as it always is right after
-    /// a lookup or insert of that page). Panics if it is not.
+    /// exactly what `n` back-to-back [`Tlb::lookup`]s leave behind right
+    /// after a lookup or insert of that page, which put the entry at the
+    /// front of its L1 DTLB set: `n` more lookups and no change of state.
+    /// Panics if the entry is not at the front.
+    #[inline]
     pub fn repeat_l1_hits(&mut self, asid: Asid, vpn: u64, n: u64) {
+        self.l1.assert_front(asid, vpn);
         self.lookups += n;
-        self.l1.repeat_hits(asid, vpn, n);
     }
 
-    /// Fill both levels after a page walk.
+    /// Fill both levels after a page walk. Only for a page that just
+    /// missed: a level that already holds `(asid, vpn)` would hold it
+    /// twice.
+    #[inline]
     pub fn insert(&mut self, asid: Asid, vpn: u64, frame: FrameId) {
         self.stlb.insert(asid, vpn, frame);
         self.l1.insert(asid, vpn, frame);
@@ -462,15 +510,18 @@ mod tests {
 
     #[test]
     fn repeat_l1_hits_equals_repeated_lookups() {
-        // Two TLBs see the same history; one replays 5 hits on vpn 7 by
-        // lookup, the other in closed form. Every later LRU decision in
-        // the (4-way) set of vpn 7 must agree.
+        // Two TLBs see the same history, ending in a lookup of vpn 7 (as
+        // `Kernel::stream_lines` translates a page's first line); one
+        // replays 5 further hits on it by lookup, the other in closed
+        // form. Every later LRU decision in the (4-way) set of vpn 7 must
+        // agree.
         let mut a = tlb();
         let mut b = tlb();
         for t in [&mut a, &mut b] {
             for vpn in [7, 23, 39, 55] {
                 t.insert(A, vpn, FrameId(vpn as u32));
             }
+            assert_eq!(t.lookup(A, 7).0, TlbHit::L1);
         }
         for _ in 0..5 {
             assert_eq!(a.lookup(A, 7).0, TlbHit::L1);
@@ -485,6 +536,15 @@ mod tests {
             assert_eq!(a.lookup(A, vpn), b.lookup(A, vpn), "vpn {vpn}");
         }
         assert_eq!(a.stats(), b.stats());
+    }
+
+    #[test]
+    #[should_panic(expected = "front of its L1 set")]
+    fn repeat_l1_hits_needs_the_front_way() {
+        let mut t = tlb();
+        t.insert(A, 7, FrameId(7));
+        t.insert(A, 23, FrameId(23)); // same L1 set, now in front of 7
+        t.repeat_l1_hits(A, 7, 3);
     }
 
     #[test]
@@ -542,21 +602,18 @@ mod tests {
 
     /// The scans the residency table replaced, kept as its reference.
     fn scanned_valid_count(a: &TlbArray) -> usize {
-        a.stamps.iter().filter(|&&s| s != 0).count()
+        a.tags.iter().filter(|&&t| t != INVALID).count()
     }
 
     fn scanned_holds_asid(a: &TlbArray, asid: u16) -> bool {
-        a.stamps
-            .iter()
-            .zip(a.tags.iter())
-            .any(|(&s, &t)| s != 0 && t as u16 == asid)
+        a.tags.iter().any(|&t| t != INVALID && t as u16 == asid)
     }
 
     /// The flush the table replaced: always compare every tag.
     fn scanning_flush_asid(a: &mut TlbArray, asid: Asid) {
-        for (s, &t) in a.stamps.iter_mut().zip(a.tags.iter()) {
-            if t as u16 == asid.0 {
-                *s = 0;
+        for t in a.tags.iter_mut() {
+            if *t as u16 == asid.0 {
+                *t = INVALID;
             }
         }
         a.resident.retain(|&(x, _)| x != asid.0);
@@ -565,8 +622,8 @@ mod tests {
     /// The residency table must equal a brute-force scan of the entries.
     fn check_residency(a: &TlbArray) -> Result<(), String> {
         let mut scanned: Vec<(u16, u32)> = Vec::new();
-        for (&s, &t) in a.stamps.iter().zip(a.tags.iter()) {
-            if s != 0 {
+        for &t in a.tags.iter() {
+            if t != INVALID {
                 match scanned.iter_mut().find(|(x, _)| *x == t as u16) {
                     Some((_, n)) => *n += 1,
                     None => scanned.push((t as u16, 1)),
@@ -591,7 +648,7 @@ mod tests {
     }
 
     fn same_state(a: &TlbArray, b: &TlbArray) -> bool {
-        a.tick == b.tick && a.stamps == b.stamps && a.tags == b.tags && a.frames == b.frames
+        a.tags == b.tags && a.frames == b.frames
     }
 
     /// Random op sequences over 3 ASIDs on VPNs that collide in one L1 set
@@ -626,14 +683,8 @@ mod tests {
                         Ok(())
                     }
                     10 | 11 => {
-                        let tag = tag_of(asid, vpn);
-                        let in_l1 = t
-                            .l1
-                            .tags
-                            .iter()
-                            .zip(t.l1.stamps.iter())
-                            .any(|(&g, &s)| g == tag && s != 0);
-                        if in_l1 {
+                        let front = t.l1.set_of(vpn) * t.l1.ways;
+                        if t.l1.tags[front] == tag_of(asid, vpn) {
                             let n = rng.gen_range(1..100u64);
                             t.repeat_l1_hits(asid, vpn, n);
                             twin.repeat_l1_hits(asid, vpn, n);
@@ -670,7 +721,9 @@ mod tests {
                         }
                     });
                 if let Err(e) = checked {
-                    panic!("case {case} (seed {seed:#x}) step {step} op {op} {asid:?} vpn {vpn}: {e}");
+                    panic!(
+                        "case {case} (seed {seed:#x}) step {step} op {op} {asid:?} vpn {vpn}: {e}"
+                    );
                 }
             }
             assert_eq!(t.stats(), twin.stats(), "seed {seed:#x}");
