@@ -12,10 +12,15 @@
 //! Exits 0 when every simulated metric is bit-identical to the baseline
 //! and wall times stay under their bounds; exits 1 and prints every
 //! violation otherwise.
+//!
+//! It also prints the current run's host rusage (user and system time,
+//! minor faults) per experiment with suite totals. That table is a report
+//! only: no bound reads it, and host-parallel runs do not record it.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use svagc_bench::gate::{run_gate, GateConfig};
+use svagc_bench::gate::{run_gate, rusage_report, GateConfig};
+use svagc_metrics::parse_json;
 
 fn arg_value(args: &[String], flag: &str) -> Option<String> {
     args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned()
@@ -39,6 +44,11 @@ fn main() -> ExitCode {
         cfg.wall_slack_ms = s;
     }
     cfg = cfg.with_env_wall_mult();
+    let summary = std::fs::read_to_string(&current).ok().and_then(|t| parse_json(&t).ok());
+    match summary.as_ref().and_then(rusage_report) {
+        Some(table) => println!("host rusage (report only, no bound):\n{table}"),
+        None => println!("host rusage: not recorded (a host-parallel run omits it)"),
+    }
     match run_gate(&baseline, &current, &cfg) {
         Ok(()) => {
             println!(

@@ -9,6 +9,7 @@
 //! ```
 
 use svagc_bench::report::{HostInfo, Report};
+use svagc_bench::rusage::Rusage;
 use svagc_core::protocol::{self, ModelConfig};
 use svagc_core::{CycleClass, DegradePolicy, DegradedMode, RetryPolicy, SchedulerKind};
 use svagc_kernel::{CrashPlan, FlushMode, WalMutation};
@@ -323,6 +324,7 @@ fn main() {
                     Some(n.parse().expect("--device-offline-after expects an integer"));
             }
 
+            let r0 = Rusage::now();
             let t0 = std::time::Instant::now();
             let outcome = run_with_crash(w.as_mut(), &cfg, do_recover).unwrap_or_else(|f| {
                 eprintln!("{cmd} failed: {f}");
@@ -373,6 +375,7 @@ fn main() {
                                 rep2.counters_from(&rep.registry());
                                 let host = HostInfo {
                                     wall_ms: t0.elapsed().as_secs_f64() * 1e3,
+                                    rusage: Rusage::since(r0),
                                     threads: 1,
                                     parallel: false,
                                 };
@@ -395,6 +398,7 @@ fn main() {
                 }
             };
             let host_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+            let host_rusage = Rusage::since(r0);
             println!("workload     : {}", r.workload);
             println!("collector    : {}", r.collector);
             if cfg.scheduler == SchedulerKind::Packets {
@@ -508,7 +512,12 @@ fn main() {
                 rep.derived("gc_avg_ms", r.gc_avg_ms());
                 rep.derived("gc_max_ms", r.gc_max_ms());
                 rep.derived("throughput_steps_per_s", r.throughput());
-                let host = HostInfo { wall_ms: host_wall_ms, threads: 1, parallel: false };
+                let host = HostInfo {
+                    wall_ms: host_wall_ms,
+                    rusage: host_rusage,
+                    threads: 1,
+                    parallel: false,
+                };
                 std::fs::write(path, rep.bench_json(&host)).unwrap_or_else(|e| {
                     eprintln!("cannot write BENCH record to {path:?}: {e}");
                     std::process::exit(1);

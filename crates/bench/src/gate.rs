@@ -11,6 +11,7 @@
 //! Missing or extra experiments and counters are violations in both
 //! directions.
 
+use crate::report::{pct, Table};
 use crate::runner::BENCH_SUMMARY_SCHEMA;
 use svagc_metrics::{parse_json, JsonValue};
 
@@ -190,6 +191,51 @@ pub fn run_gate(
     }
 }
 
+/// The host rusage recorded in a summary, as a report-only table with
+/// suite totals, or `None` when no experiment carries it (a host-parallel
+/// run). No gate or bound reads these figures.
+pub fn rusage_report(summary: &JsonValue) -> Option<String> {
+    let exps = summary.get("experiments").and_then(JsonValue::as_arr)?;
+    let field = |e: &JsonValue, k: &str| e.get(k).and_then(JsonValue::as_f64);
+    let mut table =
+        Table::new(["experiment", "wall ms", "user ms", "sys ms", "sys share", "minor faults"]);
+    let mut total = [0.0f64; 4];
+    let mut rows = 0;
+    let push = |table: &mut Table, id: &str, v: [f64; 4]| {
+        let cpu = v[1] + v[2];
+        let share = if cpu > 0.0 { pct(100.0 * v[2] / cpu) } else { "-".into() };
+        table.row([
+            id.to_string(),
+            format!("{:.0}", v[0]),
+            format!("{:.0}", v[1]),
+            format!("{:.0}", v[2]),
+            share,
+            format!("{:.0}", v[3]),
+        ]);
+    };
+    for e in exps {
+        let (Some(wall), Some(user), Some(sys), Some(faults)) = (
+            field(e, "wall_ms"),
+            field(e, "user_ms"),
+            field(e, "sys_ms"),
+            field(e, "minor_faults"),
+        ) else {
+            continue;
+        };
+        let v = [wall, user, sys, faults];
+        push(&mut table, &entry_id(e), v);
+        for (t, x) in total.iter_mut().zip(v) {
+            *t += x;
+        }
+        rows += 1;
+    }
+    if rows == 0 {
+        return None;
+    }
+    push(&mut table, "suite total", total);
+    Some(table.render())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,5 +334,21 @@ mod tests {
         let cfg = GateConfig::default();
         assert!(compare(&a, &empty, &cfg).iter().any(|e| e.contains("missing from current")));
         assert!(compare(&empty, &a, &cfg).iter().any(|e| e.contains("absent from baseline")));
+    }
+
+    #[test]
+    fn rusage_report_totals_serial_rows_and_skips_parallel_runs() {
+        let serial = parse_json(
+            "{\"experiments\":[\
+             {\"experiment\":\"a\",\"wall_ms\":10,\"user_ms\":6,\"sys_ms\":2,\"minor_faults\":100},\
+             {\"experiment\":\"b\",\"wall_ms\":20,\"user_ms\":10,\"sys_ms\":6,\"minor_faults\":50}]}",
+        )
+        .unwrap();
+        let table = rusage_report(&serial).unwrap();
+        let total = table.lines().last().unwrap();
+        assert!(total.starts_with("suite total"), "{table}");
+        let cells: Vec<&str> = total.split_whitespace().skip(2).collect();
+        assert_eq!(cells, ["30", "16", "8", "33.3%", "150"], "{table}");
+        assert_eq!(rusage_report(&summary("fnv1a:00", 1, 5.0)), None);
     }
 }

@@ -8,6 +8,8 @@
 //!   table/JSON output helpers.
 //! * [`runner`] — experiment registry plus the serial / host-parallel
 //!   runner used by `bin/all` and the thin per-figure binaries.
+//! * [`rusage`] — host CPU time and minor faults from `getrusage`,
+//!   reported beside wall time in BENCH records.
 //! * [`gate`] — perf-regression comparison of a `BENCH_summary.json`
 //!   against a checked-in baseline (the CI perf gate).
 //!
@@ -21,4 +23,5 @@ pub mod micro;
 pub mod render;
 pub mod report;
 pub mod runner;
+pub mod rusage;
 pub mod suites;

@@ -2,6 +2,7 @@
 //! on stdout plus machine-readable JSON lines, and the [`Report`] sink
 //! that turns one experiment run into a `BENCH_<experiment>.json` record.
 
+use crate::rusage::Rusage;
 use std::fmt::Write as _;
 use svagc_metrics::json::write_json_str;
 use svagc_metrics::{Registry, ToJson};
@@ -63,11 +64,6 @@ impl Table {
 /// Print a figure/table banner.
 pub fn banner(id: &str, caption: &str) {
     println!("\n=== {id}: {caption} ===");
-}
-
-/// Emit one JSON record (prefixed so it greps cleanly out of mixed logs).
-pub fn json_line<T: ToJson + ?Sized>(tag: &str, value: &T) {
-    println!("@json {tag} {}", value.to_json());
 }
 
 /// Version tag of the per-experiment BENCH JSON layout.
@@ -235,13 +231,29 @@ impl Report {
 pub struct HostInfo {
     /// Host wall-clock time of the experiment, milliseconds.
     pub wall_ms: f64,
+    /// Host CPU time and minor faults of the experiment; written beside
+    /// `wall_ms` when present, omitted from host-parallel runs.
+    pub rusage: Option<Rusage>,
     /// Host worker threads the runner used.
     pub threads: usize,
     /// Was the experiment part of a host-parallel fan-out?
     pub parallel: bool,
 }
 
-svagc_metrics::impl_to_json!(HostInfo { wall_ms, threads, parallel });
+impl ToJson for HostInfo {
+    fn write_json(&self, out: &mut String) {
+        out.push_str("{\"wall_ms\":");
+        self.wall_ms.write_json(out);
+        if let Some(r) = &self.rusage {
+            r.write_json_fields(out);
+        }
+        out.push_str(",\"threads\":");
+        self.threads.write_json(out);
+        out.push_str(",\"parallel\":");
+        self.parallel.write_json(out);
+        out.push('}');
+    }
+}
 
 /// Format milliseconds with sensible precision.
 pub fn ms(v: f64) -> String {
@@ -334,7 +346,7 @@ mod tests {
     fn bench_json_parses_and_carries_both_planes() {
         use svagc_metrics::{parse_json, JsonValue};
         let rep = sample_report();
-        let host = HostInfo { wall_ms: 12.5, threads: 4, parallel: true };
+        let host = HostInfo { wall_ms: 12.5, rusage: None, threads: 4, parallel: true };
         let doc = parse_json(&rep.bench_json(&host)).unwrap();
         assert_eq!(
             doc.get("schema").and_then(JsonValue::as_str),
@@ -353,6 +365,14 @@ mod tests {
         let host_v = doc.get("host").unwrap();
         assert_eq!(host_v.get("wall_ms").and_then(JsonValue::as_f64), Some(12.5));
         assert_eq!(host_v.get("parallel"), Some(&JsonValue::Bool(true)));
+        assert_eq!(host_v.get("user_ms"), None);
+        let rusage = Some(Rusage { user_ms: 3.0, sys_ms: 1.0, minor_faults: 9 });
+        let serial = HostInfo { rusage, parallel: false, threads: 1, ..host };
+        let doc2 = parse_json(&rep.bench_json(&serial)).unwrap();
+        assert_eq!(doc2.get("sim_digest"), doc.get("sim_digest"));
+        let host2 = doc2.get("host").unwrap();
+        assert_eq!(host2.get("sys_ms").and_then(JsonValue::as_f64), Some(1.0));
+        assert_eq!(host2.get("minor_faults").and_then(JsonValue::as_u64), Some(9));
         // The text echo of rows stays greppable.
         assert!(rep.text().contains("@json fig99 {\"pages\":8"));
     }

@@ -11,6 +11,7 @@
 
 use crate::render;
 use crate::report::{HostInfo, Report};
+use crate::rusage::Rusage;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 use svagc_metrics::json::write_json_str;
@@ -199,24 +200,31 @@ pub fn all_ids() -> Vec<&'static str> {
     EXPERIMENTS.iter().map(|e| e.id).collect()
 }
 
-/// One finished experiment plus its host wall time.
+/// One finished experiment plus its host cost.
 pub struct Outcome {
     /// The filled report.
     pub report: Report,
     /// Host wall-clock milliseconds the experiment took.
     pub wall_ms: f64,
+    /// Host CPU time and minor faults over the experiment; `None` when it
+    /// ran beside others in a host-parallel fan-out.
+    pub rusage: Option<Rusage>,
 }
 
-/// Run one experiment, timing it on the host clock.
+/// Run one experiment, timing it on the host clock and with `getrusage`.
+/// The rusage deltas are process-wide: they are the experiment's own only
+/// when it runs alone, so [`run_ids`] drops them from parallel runs.
 pub fn run_experiment(exp: &Experiment) -> Outcome {
     let mut rep = Report::new(exp.id, exp.caption);
     rep.say("");
     rep.say(format!("=== {}: {} ===", exp.title, exp.caption));
+    let r0 = Rusage::now();
     let t0 = Instant::now();
     (exp.run)(&mut rep);
     Outcome {
         report: rep,
         wall_ms: t0.elapsed().as_secs_f64() * 1e3,
+        rusage: Rusage::since(r0),
     }
 }
 
@@ -230,7 +238,7 @@ pub fn run_ids(ids: &[&str], parallel: bool) -> Vec<Outcome> {
         .map(|id| find(id).unwrap_or_else(|| panic!("unknown experiment {id:?}")))
         .collect();
     if parallel {
-        par_map(exps, run_experiment)
+        par_map(exps, |e| Outcome { rusage: None, ..run_experiment(e) })
     } else {
         exps.into_iter().map(run_experiment).collect()
     }
@@ -240,8 +248,9 @@ pub fn run_ids(ids: &[&str], parallel: bool) -> Vec<Outcome> {
 pub const BENCH_SUMMARY_SCHEMA: &str = "svagc-bench-summary-v1";
 
 /// The rolled-up summary document: one entry per experiment with the
-/// digest, headline counters, and host wall time. The CI perf gate
-/// compares this file against a checked-in baseline.
+/// digest, headline counters, host wall time and, in serial runs, host
+/// rusage. The CI perf gate compares this file against a checked-in
+/// baseline; it reads the rusage fields only to print them.
 pub fn summary_json(outcomes: &[Outcome], parallel: bool) -> String {
     let mut out = String::with_capacity(1024);
     out.push_str("{\"schema\":\"");
@@ -261,6 +270,9 @@ pub fn summary_json(outcomes: &[Outcome], parallel: bool) -> String {
         out.push_str("\",\"counters\":");
         out.push_str(&o.report.counters().to_json());
         out.push_str(&format!(",\"wall_ms\":{}", o.wall_ms));
+        if let Some(r) = &o.rusage {
+            r.write_json_fields(&mut out);
+        }
         out.push('}');
     }
     out.push_str("]}");
@@ -279,6 +291,7 @@ pub fn write_bench_files(
     for o in outcomes {
         let host = HostInfo {
             wall_ms: o.wall_ms,
+            rusage: o.rusage,
             threads,
             parallel,
         };
@@ -369,7 +382,8 @@ mod tests {
         use svagc_metrics::{parse_json, JsonValue};
         let mut rep = Report::new("fake", "synthetic");
         rep.counter("gc.pause_cycles", 42);
-        let outcomes = vec![Outcome { report: rep, wall_ms: 1.5 }];
+        let rusage = Some(Rusage { user_ms: 1.0, sys_ms: 0.5, minor_faults: 3 });
+        let outcomes = vec![Outcome { report: rep, wall_ms: 1.5, rusage }];
         let doc = parse_json(&summary_json(&outcomes, true)).unwrap();
         assert_eq!(
             doc.get("schema").and_then(JsonValue::as_str),
@@ -387,5 +401,7 @@ mod tests {
             Some(42)
         );
         assert_eq!(exps[0].get("wall_ms").and_then(JsonValue::as_f64), Some(1.5));
+        assert_eq!(exps[0].get("sys_ms").and_then(JsonValue::as_f64), Some(0.5));
+        assert_eq!(exps[0].get("minor_faults").and_then(JsonValue::as_u64), Some(3));
     }
 }

@@ -57,6 +57,8 @@ fn bench_files_from_a_parallel_run_parse_and_match_serial_digests() {
             entry.get("sim_digest").and_then(JsonValue::as_str).unwrap(),
             s.report.sim_digest()
         );
+        // Process-wide rusage deltas overlap under a fan-out: omitted.
+        assert_eq!(entry.get("user_ms"), None);
         // And the per-experiment BENCH file round-trips through the parser
         // with the same digest and schema.
         let doc =
@@ -71,6 +73,7 @@ fn bench_files_from_a_parallel_run_parse_and_match_serial_digests() {
             s.report.sim_digest()
         );
         assert_eq!(doc.get("host").unwrap().get("parallel"), Some(&JsonValue::Bool(true)));
+        assert_eq!(doc.get("host").unwrap().get("minor_faults"), None);
     }
     std::fs::remove_dir_all(&dir).ok();
 }

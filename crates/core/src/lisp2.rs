@@ -24,7 +24,7 @@ use crate::degrade::DegradeController;
 use crate::error::GcError;
 use crate::journal::{transact, Transactional};
 use crate::packets::{BarrierPhases, BatchDeps, PacketKind, PacketScheduler, Schedule};
-use crate::resilience::execute_swaps;
+use crate::resilience::SwapPlan;
 use crate::stats::{GcCycleStats, GcLog};
 use crate::watchdog::GcWatchdog;
 use svagc_heap::{Heap, HeapError, HeapVerifier, MarkBitmap, ObjHeader, ObjRef, RootSet, VerifyReport};
@@ -538,10 +538,14 @@ impl Lisp2Collector {
         } else {
             FlushMode::LocalOnly
         };
-        let swap_opts = SwapVaOptions {
-            pmd_cache: self.cfg.pmd_cache,
-            overlap_opt: self.cfg.overlap_opt,
-            flush: flush_mode,
+        let plan = SwapPlan {
+            opts: SwapVaOptions {
+                pmd_cache: self.cfg.pmd_cache,
+                overlap_opt: self.cfg.overlap_opt,
+                flush: flush_mode,
+            },
+            aggregated: self.cfg.aggregation.is_some(),
+            retry: &self.cfg.retry,
         };
 
         // Will any move actually go through SwapVA this cycle? The pinning
@@ -625,7 +629,7 @@ impl Lisp2Collector {
                 };
                 if flush_now {
                     let (c, intf) =
-                        self.flush_batch(kernel, heap, &mut batch, swap_opts, core, stats)?;
+                        flush_batch(kernel, heap, &mut batch, &plan, core, stats)?;
                     t += c;
                     sched.stall(intf);
                     // Mid-phase deadline check: the watchdog can abort a
@@ -644,7 +648,7 @@ impl Lisp2Collector {
                 // A packet drains its own batch and owns its destinations'
                 // forwarding-word clears: no later batch reads below its
                 // own destination cursor, so the clears need no barrier.
-                let (c, intf) = self.flush_batch(kernel, heap, &mut batch, swap_opts, core, stats)?;
+                let (c, intf) = flush_batch(kernel, heap, &mut batch, &plan, core, stats)?;
                 t += c;
                 sched.stall(intf);
                 for m in &moves[s..e] {
@@ -660,7 +664,7 @@ impl Lisp2Collector {
                 let ticket = sched.begin_balanced(PacketKind::CompactBatch);
                 let core = sched.core(&ticket);
                 kernel.trace.set_base(sched.lane(&ticket));
-                let (t, intf) = self.flush_batch(kernel, heap, &mut batch, swap_opts, core, stats)?;
+                let (t, intf) = flush_batch(kernel, heap, &mut batch, &plan, core, stats)?;
                 sched.finish(ticket, t);
                 sched.stall(intf);
             }
@@ -785,60 +789,27 @@ impl Lisp2Collector {
             Err(GcError::corruption(&report))
         }
     }
+}
 
-    /// Execute and clear the aggregation buffer through the resilient
-    /// executor: transient faults retry with backoff, permanent faults
-    /// demote single requests to memmove, mid-batch faults split the
-    /// batch. With aggregation disabled the buffer never exceeds one
-    /// request, so this degenerates to separated calls.
-    fn flush_batch(
-        &self,
-        kernel: &mut Kernel,
-        heap: &mut Heap,
-        batch: &mut SwapBatch,
-        opts: SwapVaOptions,
-        core: svagc_kernel::CoreId,
-        stats: &mut GcCycleStats,
-    ) -> Result<(Cycles, Cycles), GcError> {
-        if batch.is_empty() {
-            return Ok((Cycles::ZERO, Cycles::ZERO));
-        }
-        let entries = batch.take();
-        let reqs: Vec<SwapRequest> = entries.iter().map(|(r, _)| *r).collect();
+/// Flush the aggregation buffer through `plan`, marking each non-empty
+/// flush with a `BatchFlush` trace instant. With aggregation disabled the
+/// buffer never exceeds one request, so this degenerates to separated
+/// calls.
+fn flush_batch(
+    kernel: &mut Kernel,
+    heap: &mut Heap,
+    batch: &mut SwapBatch,
+    plan: &SwapPlan,
+    core: CoreId,
+    stats: &mut GcCycleStats,
+) -> Result<(Cycles, Cycles), GcError> {
+    if !batch.is_empty() {
         kernel.trace.instant(
             TraceKind::BatchFlush,
             Cycles::ZERO,
             core.0 as u32,
-            &[
-                ("requests", reqs.len() as u64),
-                ("pages", reqs.iter().map(|r| r.pages).sum()),
-            ],
+            &[("requests", batch.len() as u64), ("pages", batch.pages())],
         );
-        let out = execute_swaps(
-            kernel,
-            heap.space_mut(),
-            &reqs,
-            opts,
-            core,
-            self.cfg.aggregation.is_some(),
-            &self.cfg.retry,
-        )?;
-        stats.swap_retries += out.retries;
-        stats.batch_splits += out.batch_splits;
-        for &i in &out.fallback {
-            // This object was queued as a swap but moved by copy: shift it
-            // from the swap columns to the fallback/memmove ones. The
-            // executor guarantees distinct ascending indices, so each entry
-            // is rebooked at most once; saturate anyway so a miscount can
-            // never escalate into a debug-build panic mid-collection.
-            let size = entries[i].1;
-            stats.swapped_objects = stats.swapped_objects.saturating_sub(1);
-            stats.swapped_bytes = stats.swapped_bytes.saturating_sub(size);
-            stats.memmove_bytes += size;
-            stats.swap_fallback_objects += 1;
-            stats.swap_fallback_bytes += size;
-        }
-        stats.interference += out.interference;
-        Ok((out.cycles, out.interference))
     }
+    plan.flush(kernel, heap.space_mut(), batch, core, stats)
 }

@@ -25,10 +25,10 @@ use crate::error::GcError;
 use crate::journal::{transact, Transactional};
 use crate::lisp2::{seed_roots, trace_closure};
 use crate::packets::{BarrierPhases, BatchDeps, PacketKind, PacketScheduler, Schedule};
-use crate::resilience::{execute_swaps, RetryPolicy};
+use crate::resilience::{RetryPolicy, SwapPlan};
 use crate::watchdog::GcWatchdog;
 use svagc_heap::{GenHeap, Heap, HeapError, MarkBitmap, ObjRef, RootSet, CARD_BYTES};
-use svagc_kernel::{CoreId, FlushMode, Kernel, SwapBatch, SwapRequest, SwapVaOptions};
+use svagc_kernel::{FlushMode, Kernel, SwapBatch, SwapRequest, SwapVaOptions};
 use svagc_metrics::{Cycles, TraceKind};
 use svagc_vmem::{VirtAddr, PAGE_SIZE};
 
@@ -514,10 +514,14 @@ impl MinorGc {
 
         // ---- Phase 5: promote (copy or swap) ---------------------------
         let threshold_pages = gh.old.threshold_pages();
-        let swap_opts = SwapVaOptions {
-            pmd_cache: self.cfg.pmd_cache,
-            overlap_opt: false, // Table I: not applicable to Minor copying
-            flush: FlushMode::LocalOnly,
+        let plan = SwapPlan {
+            opts: SwapVaOptions {
+                pmd_cache: self.cfg.pmd_cache,
+                overlap_opt: false, // Table I: not applicable to Minor copying
+                flush: FlushMode::LocalOnly,
+            },
+            aggregated: self.cfg.aggregation.is_some(),
+            retry: &self.cfg.retry,
         };
         let any_swaps = self.cfg.use_swapva
             && promos.iter().any(|p| {
@@ -565,7 +569,8 @@ impl MinorGc {
                     debug_assert!(!req.overlaps(), "eden and old generation must be disjoint");
                     stats.swapped_objects += 1;
                     if batch.push(req, p.size) {
-                        t += self.flush_promotions(kernel, gh, &mut batch, swap_opts, core, &mut stats)?;
+                        let space = gh.old.space_mut();
+                        t += plan.flush(kernel, space, &mut batch, core, &mut stats)?.0;
                         // Mid-phase deadline check between promotion batches.
                         watchdog.check("minor-promote", sched.elapsed(&ticket, t, Cycles::ZERO))?;
                     }
@@ -574,7 +579,7 @@ impl MinorGc {
                 }
             }
             if S::OVERLAPPING {
-                t += self.flush_promotions(kernel, gh, &mut batch, swap_opts, core, &mut stats)?;
+                t += plan.flush(kernel, gh.old.space_mut(), &mut batch, core, &mut stats)?.0;
                 // Clear this batch's destinations' forwarding words. The
                 // clears run on the same core as the batch's swaps — which
                 // LocalOnly-flushed it — so no extra TLB pass is needed.
@@ -589,7 +594,7 @@ impl MinorGc {
             if !batch.is_empty() {
                 let ticket = sched.begin_balanced(PacketKind::MinorChunk);
                 let core = sched.core(&ticket);
-                let t = self.flush_promotions(kernel, gh, &mut batch, swap_opts, core, &mut stats)?;
+                let t = plan.flush(kernel, gh.old.space_mut(), &mut batch, core, &mut stats)?.0;
                 sched.finish(ticket, t);
             }
             // Clear forwarding words at the destinations (after every
@@ -643,46 +648,6 @@ impl MinorGc {
         kernel.perf.objects_moved += stats.promoted_objects;
         kernel.perf.objects_swapped += stats.swapped_objects;
         Ok(stats)
-    }
-
-    /// Flush a promotion batch through the resilient executor, rebooking
-    /// fallback promotions in the stats. Fallback indices are distinct
-    /// within one call and the batch is cleared on every flush, so each
-    /// fallback is rebooked at most once; saturating (as the full
-    /// collector does) so a miscount degrades the stats instead of
-    /// panicking. Returns the cycles charged to the worker.
-    fn flush_promotions(
-        &self,
-        kernel: &mut Kernel,
-        gh: &mut GenHeap,
-        batch: &mut SwapBatch,
-        opts: SwapVaOptions,
-        core: CoreId,
-        stats: &mut MinorStats,
-    ) -> Result<Cycles, GcError> {
-        if batch.is_empty() {
-            return Ok(Cycles::ZERO);
-        }
-        let entries = batch.take();
-        let reqs: Vec<SwapRequest> = entries.iter().map(|(r, _)| *r).collect();
-        let out = execute_swaps(
-            kernel,
-            gh.old.space_mut(),
-            &reqs,
-            opts,
-            core,
-            self.cfg.aggregation.is_some(),
-            &self.cfg.retry,
-        )?;
-        stats.swap_retries += out.retries;
-        stats.batch_splits += out.batch_splits;
-        debug_assert!(out.fallback.len() <= reqs.len());
-        stats.swapped_objects = stats
-            .swapped_objects
-            .saturating_sub(out.fallback.len() as u64);
-        stats.swap_fallback_objects += out.fallback.len() as u64;
-        stats.interference += out.interference;
-        Ok(out.cycles)
     }
 
     /// Total scavenge pause across the log.

@@ -21,7 +21,9 @@
 //! how much degradation a run absorbed.
 
 use crate::error::GcError;
-use svagc_kernel::{CoreId, Kernel, SwapRequest, SwapVaError, SwapVaOptions};
+use crate::minor::MinorStats;
+use crate::stats::GcCycleStats;
+use svagc_kernel::{CoreId, Kernel, SwapBatch, SwapRequest, SwapVaError, SwapVaOptions};
 use svagc_metrics::{Cycles, TraceKind};
 use svagc_vmem::{AddressSpace, PAGE_SIZE};
 
@@ -166,6 +168,87 @@ pub fn execute_swaps(
         reqs.len()
     );
     Ok(out)
+}
+
+/// The settings one collection attempt flushes its swap batches with.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SwapPlan<'a> {
+    pub opts: SwapVaOptions,
+    /// One `swap_va_batch` syscall per flush instead of one call per
+    /// request (see [`execute_swaps`]).
+    pub aggregated: bool,
+    pub retry: &'a RetryPolicy,
+}
+
+/// Cycle statistics that a flushed swap batch is booked into.
+pub(crate) trait SwapBook {
+    /// Book what the flush absorbed: retries, splits and interference.
+    fn book(&mut self, out: &SwapOutcome);
+    /// Move one object of `bytes` that was queued (and counted) as a swap
+    /// but moved by copy from the swap columns to the fallback ones.
+    fn rebook_fallback(&mut self, bytes: u64);
+}
+
+impl SwapPlan<'_> {
+    /// Execute and clear `batch` through [`execute_swaps`] and book the
+    /// outcome into `stats`. Returns the cycles charged to `core` and the
+    /// interference pushed onto other cores; an empty batch costs nothing.
+    ///
+    /// Fallback indices are distinct and the batch is cleared on every
+    /// flush, so each fallback is rebooked at most once. The rebooking
+    /// saturates anyway, so a miscount degrades the stats instead of
+    /// escalating into a debug-build panic mid-collection.
+    pub(crate) fn flush(
+        &self,
+        kernel: &mut Kernel,
+        space: &mut AddressSpace,
+        batch: &mut SwapBatch,
+        core: CoreId,
+        stats: &mut impl SwapBook,
+    ) -> Result<(Cycles, Cycles), GcError> {
+        if batch.is_empty() {
+            return Ok((Cycles::ZERO, Cycles::ZERO));
+        }
+        let entries = batch.take();
+        let reqs: Vec<SwapRequest> = entries.iter().map(|(r, _)| *r).collect();
+        let out =
+            execute_swaps(kernel, space, &reqs, self.opts, core, self.aggregated, self.retry)?;
+        stats.book(&out);
+        for &i in &out.fallback {
+            stats.rebook_fallback(entries[i].1);
+        }
+        Ok((out.cycles, out.interference))
+    }
+}
+
+impl SwapBook for GcCycleStats {
+    fn book(&mut self, out: &SwapOutcome) {
+        self.swap_retries += out.retries;
+        self.batch_splits += out.batch_splits;
+        self.interference += out.interference;
+    }
+
+    fn rebook_fallback(&mut self, bytes: u64) {
+        self.swapped_objects = self.swapped_objects.saturating_sub(1);
+        self.swapped_bytes = self.swapped_bytes.saturating_sub(bytes);
+        self.memmove_bytes += bytes;
+        self.swap_fallback_objects += 1;
+        self.swap_fallback_bytes += bytes;
+    }
+}
+
+impl SwapBook for MinorStats {
+    fn book(&mut self, out: &SwapOutcome) {
+        self.swap_retries += out.retries;
+        self.batch_splits += out.batch_splits;
+        self.interference += out.interference;
+    }
+
+    /// Minor stats count promoted objects, not swapped bytes.
+    fn rebook_fallback(&mut self, _bytes: u64) {
+        self.swapped_objects = self.swapped_objects.saturating_sub(1);
+        self.swap_fallback_objects += 1;
+    }
 }
 
 #[cfg(test)]

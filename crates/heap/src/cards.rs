@@ -135,11 +135,6 @@ impl CardTable {
     pub fn defer_active(&self) -> bool {
         self.defer_active
     }
-
-    /// Bytes each card covers.
-    pub fn card_bytes(&self) -> u64 {
-        CARD_BYTES
-    }
 }
 
 #[cfg(test)]

@@ -146,11 +146,6 @@ impl GenHeap {
         self.eden_top - self.eden_base
     }
 
-    /// Eden capacity in bytes.
-    pub fn eden_capacity(&self) -> u64 {
-        self.eden_end - self.eden_base
-    }
-
     /// Eden bounds.
     pub fn eden_range(&self) -> (VirtAddr, VirtAddr) {
         (self.eden_base, self.eden_end)

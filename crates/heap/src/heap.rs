@@ -8,7 +8,7 @@
 //! disturbing neighbours. The alignment gaps this creates are the internal
 //! fragmentation the paper bounds at <5 % for a 10-page threshold.
 
-use crate::object::{ObjHeader, ObjRef, ObjShape, FLAG_LARGE, HEADER_WORDS};
+use crate::object::{ObjHeader, ObjRef, ObjShape, FLAG_LARGE};
 use svagc_kernel::{CoreId, Kernel};
 use svagc_metrics::Cycles;
 use svagc_vmem::{AddressSpace, AllocContext, Asid, VirtAddr, VmError, PAGE_SIZE, WORD_BYTES};
@@ -59,14 +59,6 @@ impl HeapConfig {
     /// Toggle large-object page alignment (off for baseline collectors).
     pub fn with_alignment(mut self, on: bool) -> HeapConfig {
         self.align_large = on;
-        self
-    }
-
-    /// Derive the threshold from the machine's cost constants instead of
-    /// the paper's fixed 10 (Fig. 10: the break-even is a property of the
-    /// CPU/memory configuration).
-    pub fn with_auto_threshold(mut self, machine: &svagc_metrics::MachineConfig) -> HeapConfig {
-        self.swap_threshold_pages = machine.derived_threshold_pages().min(1 << 20);
         self
     }
 
@@ -635,11 +627,6 @@ impl Heap {
         self.objects = survivors;
         self.sorted = true;
         self.top = new_top;
-    }
-
-    /// Number of payload words of an object (`size - header`).
-    pub fn payload_words(header: ObjHeader) -> u64 {
-        header.size_words as u64 - HEADER_WORDS
     }
 
     /// Advance the shared cursor to `to` (TLAB reservation), committing

@@ -174,10 +174,20 @@ fn reference_hash(k: &Kernel, h: &mut Heap) -> u64 {
     acc
 }
 
-/// One random heap for `content_hash_matches_reference`: small
-/// objects (some straddling page boundaries), page-aligned large objects
-/// (some exactly whole pages), every word past the header random.
-fn random_heap(rng: &mut SimRng) -> (Kernel, Heap, Vec<ObjShape>) {
+/// How [`random_heap`] fills each object's words past the header.
+#[derive(Clone, Copy)]
+enum Payload {
+    /// Every word random.
+    Dense,
+    /// Zero (as allocated) except 0–3 random words at random positions:
+    /// the mostly-zero shape of real heap payloads.
+    Sparse,
+}
+
+/// One random heap for the content-hash properties: small objects (some
+/// straddling page boundaries), page-aligned large objects (some exactly
+/// whole pages), payloads filled per `payload`.
+fn random_heap(rng: &mut SimRng, payload: Payload) -> (Kernel, Heap, Vec<ObjShape>) {
     let (mut k, mut h) = setup(2 << 20);
     let tier = FarTier::new(FarDevice::new(512), RetryPolicy::default());
     k.set_far_tier(Some(tier));
@@ -193,7 +203,15 @@ fn random_heap(rng: &mut SimRng) -> (Kernel, Heap, Vec<ObjShape>) {
         };
         shapes.push(shape);
         // The forwarding word too: the hash must skip it.
-        for w in 1..shape.size_words() as u64 {
+        let words = shape.size_words() as u64;
+        let written: Vec<u64> = match payload {
+            Payload::Dense => (1..words).collect(),
+            Payload::Sparse => {
+                let n = rng.gen_range(0..4u32);
+                (0..n).map(|_| rng.gen_range(1..words)).collect()
+            }
+        };
+        for w in written {
             let va = obj.0 + w * WORD_BYTES;
             k.vmem.write_u64(h.space(), va, rng.next_u64()).unwrap();
         }
@@ -201,40 +219,59 @@ fn random_heap(rng: &mut SimRng) -> (Kernel, Heap, Vec<ObjShape>) {
     (k, h, shapes)
 }
 
-/// The page-slice content hash equals the per-word reference on random
-/// heaps: fully resident, with random pages demoted (which must hash as
-/// their real bytes, so demotion leaves the hash unchanged), and with an
-/// unmapped hole (the `u64::MAX` path).
+/// The page-slice content hash equals the per-word reference on a heap
+/// from [`random_heap`]: fully resident, with about 30 % of its pages
+/// demoted (which must hash as their real bytes, so demotion leaves the
+/// hash unchanged), and with an unmapped hole (the `u64::MAX` path).
+fn hash_matches_reference_through_demotion(
+    rng: &mut SimRng,
+    (mut k, mut h, shapes): (Kernel, Heap, Vec<ObjShape>),
+) -> Result<(), String> {
+    let agree = |k: &Kernel, h: &mut Heap, stage: &str| {
+        let fast = HeapVerifier::new().content_hash(k, h);
+        let slow = reference_hash(k, h);
+        if fast != slow {
+            return Err(format!("{stage}: {fast:#x} != {slow:#x}; {shapes:?}"));
+        }
+        Ok(fast)
+    };
+    let resident = agree(&k, &mut h, "resident")?;
+
+    let base = h.base();
+    let pages = (h.top() - base).div_ceil(PAGE_SIZE);
+    for i in (0..pages).filter(|_| rng.gen_bool(0.3)) {
+        let demoted = k.tier_demote_page(h.space(), base.add_pages(i));
+        demoted.map_err(|e| e.to_string())?;
+    }
+    if agree(&k, &mut h, "demoted")? != resident {
+        return Err(format!("demotion changed the hash; shapes {shapes:?}"));
+    }
+
+    let hole = base.add_pages(rng.gen_range(0..pages));
+    let table = h.space_mut().page_table_mut();
+    table.unmap(hole).map_err(|e| e.to_string())?;
+    if agree(&k, &mut h, "hole")? == resident {
+        return Err(format!("unmapped {hole} left the hash; shapes {shapes:?}"));
+    }
+    Ok(())
+}
+
+/// On random heaps with every payload word random.
 #[test]
 fn content_hash_matches_reference() {
     check("content_hash_matches_reference", 0x7_3000, 32, |rng| {
-        let (mut k, mut h, shapes) = random_heap(rng);
-        let agree = |k: &Kernel, h: &mut Heap, stage: &str| {
-            let fast = HeapVerifier::new().content_hash(k, h);
-            let slow = reference_hash(k, h);
-            if fast != slow {
-                return Err(format!("{stage}: {fast:#x} != {slow:#x}; {shapes:?}"));
-            }
-            Ok(fast)
-        };
-        let resident = agree(&k, &mut h, "resident")?;
+        let heap = random_heap(rng, Payload::Dense);
+        hash_matches_reference_through_demotion(rng, heap)
+    });
+}
 
-        let base = h.base();
-        let pages = (h.top() - base).div_ceil(PAGE_SIZE);
-        for i in (0..pages).filter(|_| rng.gen_bool(0.3)) {
-            let demoted = k.tier_demote_page(h.space(), base.add_pages(i));
-            demoted.map_err(|e| e.to_string())?;
-        }
-        if agree(&k, &mut h, "demoted")? != resident {
-            return Err(format!("demotion changed the hash; shapes {shapes:?}"));
-        }
-
-        let hole = base.add_pages(rng.gen_range(0..pages));
-        let table = h.space_mut().page_table_mut();
-        table.unmap(hole).map_err(|e| e.to_string())?;
-        if agree(&k, &mut h, "hole")? == resident {
-            return Err(format!("unmapped {hole} left the hash; shapes {shapes:?}"));
-        }
-        Ok(())
+/// On random heaps whose payloads are almost all zero, so the hash folds
+/// mostly whole zero chunks and the few non-zero words land anywhere in a
+/// chunk, in a page-boundary tail, or in a demoted page.
+#[test]
+fn content_hash_matches_reference_on_sparse_heaps() {
+    check("content_hash_matches_reference_on_sparse_heaps", 0x7_4000, 32, |rng| {
+        let heap = random_heap(rng, Payload::Sparse);
+        hash_matches_reference_through_demotion(rng, heap)
     });
 }

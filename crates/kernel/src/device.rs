@@ -664,19 +664,24 @@ mod tests {
     fn one_flipped_byte_anywhere_in_a_slot_is_corrupt() {
         let mut d = FarDevice::new(1);
         let s = d.alloc_slot().unwrap();
-        let data: Vec<u8> = (0..SLOT_BYTES).map(|i| (i * 31 % 251) as u8).collect();
-        for off in [0, 7, 8, 2047, 4095] {
-            d.write(s, &data).unwrap();
-            d.slots[s.0 as usize].as_mut().unwrap().data[off] ^= 0x01;
-            assert!(
-                matches!(d.verify(s), Err(DeviceError::Corrupt { .. })),
-                "verify missed a flip at byte {off}"
-            );
-            let mut buf = page(0);
-            assert!(
-                matches!(d.read(s, &mut buf), Err(DeviceError::Corrupt { .. })),
-                "read missed a flip at byte {off}"
-            );
+        let patterned: Vec<u8> = (0..SLOT_BYTES).map(|i| (i * 31 % 251) as u8).collect();
+        // An all-zero page folds as whole zero chunks: one flipped bit
+        // anywhere in a chunk, at its edges or in the last word must show.
+        let zero = page(0);
+        for (name, data) in [("patterned", &patterned), ("zero", &zero)] {
+            for off in [0, 7, 8, 56, 63, 64, 2047, 4032, 4088, 4095] {
+                d.write(s, data).unwrap();
+                d.slots[s.0 as usize].as_mut().unwrap().data[off] ^= 0x01;
+                assert!(
+                    matches!(d.verify(s), Err(DeviceError::Corrupt { .. })),
+                    "verify missed a flip at byte {off} of the {name} page"
+                );
+                let mut buf = page(0);
+                assert!(
+                    matches!(d.read(s, &mut buf), Err(DeviceError::Corrupt { .. })),
+                    "read missed a flip at byte {off} of the {name} page"
+                );
+            }
         }
     }
 

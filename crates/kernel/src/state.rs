@@ -163,11 +163,6 @@ impl Kernel {
         self.tlb_oracle.set_enabled(on);
     }
 
-    /// Is the stale-translation oracle recording?
-    pub fn tlb_oracle_enabled(&self) -> bool {
-        self.tlb_oracle.is_enabled()
-    }
-
     /// Snapshot of the oracle's counters.
     pub fn tlb_oracle_stats(&self) -> OracleStats {
         self.tlb_oracle.stats()

@@ -218,11 +218,6 @@ impl FarTier {
         self.device.slots_in_use()
     }
 
-    /// Has the backing device latched offline?
-    pub fn device_offline(&self) -> bool {
-        self.device.is_offline()
-    }
-
     /// Install (or clear) the device's seeded fault plan.
     pub fn set_device_fault_plan(&mut self, plan: Option<crate::device::DeviceFaultPlan>) {
         self.device.set_fault_plan(plan);

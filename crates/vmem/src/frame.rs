@@ -36,11 +36,6 @@ impl PhysMem {
         self.frames
     }
 
-    /// Total bytes.
-    pub fn byte_count(&self) -> u64 {
-        self.bytes.len() as u64
-    }
-
     #[inline]
     fn check(&self, pa: PhysAddr, len: u64) -> Result<usize, VmError> {
         let start = pa.get();

@@ -270,11 +270,6 @@ impl PmdCache {
         }
     }
 
-    /// Invalidate (e.g. after the table structure changes).
-    pub fn invalidate(&mut self) {
-        self.last_prefix = None;
-    }
-
     /// `(hits, misses)` since construction.
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)

@@ -188,12 +188,6 @@ impl ChurnWorkload {
         }
         Ok(LiveObj { rid, shape, seed })
     }
-
-    /// Bytes allocated per step (drives GC cadence; used by drivers to
-    /// predict cycle counts).
-    pub fn bytes_per_step(&self) -> u64 {
-        (self.min_heap as f64 * self.spec.alloc_fraction_per_step) as u64
-    }
 }
 
 impl Workload for ChurnWorkload {

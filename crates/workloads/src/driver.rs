@@ -326,12 +326,6 @@ impl RunConfig {
         self
     }
 
-    /// Quota/headroom for self-registration with the frame pool.
-    pub fn with_tenant_quota(mut self, quota: u32, headroom: u32) -> RunConfig {
-        self.tenant_quota = Some((quota, headroom));
-        self
-    }
-
     /// Arm the pressure-escalation ladder.
     pub fn with_pressure(mut self, on: bool) -> RunConfig {
         self.pressure = on;
@@ -390,12 +384,6 @@ impl RunConfig {
     /// Enable the stale-translation oracle.
     pub fn with_tlb_oracle(mut self, on: bool) -> RunConfig {
         self.tlb_oracle = on;
-        self
-    }
-
-    /// Override the SwapVA retry policy.
-    pub fn with_retry(mut self, policy: RetryPolicy) -> RunConfig {
-        self.retry = Some(policy);
         self
     }
 

@@ -320,12 +320,4 @@ impl<'a> JvmEnv<'a> {
             .write_ref(self.kernel, self.core, obj, field, target)?;
         Ok(())
     }
-
-    /// Force a GC now (drivers use this for deterministic cycle counts).
-    pub fn force_gc(&mut self) -> Result<(), GcError> {
-        self.collector
-            .collect(self.kernel, &mut self.heap, &mut self.roots)?;
-        self.tier_pass()?;
-        Ok(())
-    }
 }
