@@ -14,8 +14,9 @@
 //! violation otherwise.
 //!
 //! It also prints the current run's host rusage (user and system time,
-//! minor faults) per experiment with suite totals. That table is a report
-//! only: no bound reads it, and host-parallel runs do not record it.
+//! minor faults, the process's max RSS) per experiment with suite totals
+//! and the suite's peak RSS. That table is a report only: no bound reads
+//! it, and host-parallel runs do not record it.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

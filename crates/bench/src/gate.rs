@@ -191,17 +191,26 @@ pub fn run_gate(
     }
 }
 
-/// The host rusage recorded in a summary, as a report-only table with
-/// suite totals, or `None` when no experiment carries it (a host-parallel
-/// run). No gate or bound reads these figures.
+/// The host rusage recorded in a summary, as a report-only table with a
+/// suite row: total wall, CPU time and faults, and the peak of the
+/// per-experiment max RSS (a process high-water mark, so it is the
+/// suite's peak). `None` when no experiment carries rusage (a
+/// host-parallel run). No gate or bound reads these figures.
 pub fn rusage_report(summary: &JsonValue) -> Option<String> {
     let exps = summary.get("experiments").and_then(JsonValue::as_arr)?;
     let field = |e: &JsonValue, k: &str| e.get(k).and_then(JsonValue::as_f64);
-    let mut table =
-        Table::new(["experiment", "wall ms", "user ms", "sys ms", "sys share", "minor faults"]);
-    let mut total = [0.0f64; 4];
+    let mut table = Table::new([
+        "experiment",
+        "wall ms",
+        "user ms",
+        "sys ms",
+        "sys share",
+        "minor faults",
+        "max RSS MiB",
+    ]);
+    let mut total = [0.0f64; 5];
     let mut rows = 0;
-    let push = |table: &mut Table, id: &str, v: [f64; 4]| {
+    let push = |table: &mut Table, id: &str, v: [f64; 5]| {
         let cpu = v[1] + v[2];
         let share = if cpu > 0.0 { pct(100.0 * v[2] / cpu) } else { "-".into() };
         table.row([
@@ -211,6 +220,7 @@ pub fn rusage_report(summary: &JsonValue) -> Option<String> {
             format!("{:.0}", v[2]),
             share,
             format!("{:.0}", v[3]),
+            format!("{:.1}", v[4]),
         ]);
     };
     for e in exps {
@@ -222,11 +232,14 @@ pub fn rusage_report(summary: &JsonValue) -> Option<String> {
         ) else {
             continue;
         };
-        let v = [wall, user, sys, faults];
+        // Records written before the field existed read as 0.
+        let rss = field(e, "max_rss_mib").unwrap_or(0.0);
+        let v = [wall, user, sys, faults, rss];
         push(&mut table, &entry_id(e), v);
-        for (t, x) in total.iter_mut().zip(v) {
+        for (t, x) in total[..4].iter_mut().zip(v) {
             *t += x;
         }
+        total[4] = total[4].max(rss);
         rows += 1;
     }
     if rows == 0 {
@@ -340,15 +353,19 @@ mod tests {
     fn rusage_report_totals_serial_rows_and_skips_parallel_runs() {
         let serial = parse_json(
             "{\"experiments\":[\
-             {\"experiment\":\"a\",\"wall_ms\":10,\"user_ms\":6,\"sys_ms\":2,\"minor_faults\":100},\
-             {\"experiment\":\"b\",\"wall_ms\":20,\"user_ms\":10,\"sys_ms\":6,\"minor_faults\":50}]}",
+             {\"experiment\":\"a\",\"wall_ms\":10,\"user_ms\":6,\"sys_ms\":2,\"minor_faults\":100,\"max_rss_mib\":48.5},\
+             {\"experiment\":\"b\",\"wall_ms\":20,\"user_ms\":10,\"sys_ms\":6,\"minor_faults\":50,\"max_rss_mib\":32}]}",
         )
         .unwrap();
         let table = rusage_report(&serial).unwrap();
+        assert!(table.lines().next().unwrap().contains("max RSS MiB"), "{table}");
+        let row_b = table.lines().find(|l| l.starts_with("b ")).unwrap();
+        assert!(row_b.trim_end().ends_with("32.0"), "{table}");
         let total = table.lines().last().unwrap();
         assert!(total.starts_with("suite total"), "{table}");
         let cells: Vec<&str> = total.split_whitespace().skip(2).collect();
-        assert_eq!(cells, ["30", "16", "8", "33.3%", "150"], "{table}");
+        // Sums, except max RSS: the suite's peak is the largest.
+        assert_eq!(cells, ["30", "16", "8", "33.3%", "150", "48.5"], "{table}");
         assert_eq!(rusage_report(&summary("fnv1a:00", 1, 5.0)), None);
     }
 }

@@ -8,8 +8,8 @@
 //!   table/JSON output helpers.
 //! * [`runner`] — experiment registry plus the serial / host-parallel
 //!   runner used by `bin/all` and the thin per-figure binaries.
-//! * [`rusage`] — host CPU time and minor faults from `getrusage`,
-//!   reported beside wall time in BENCH records.
+//! * [`rusage`] — host CPU time, minor faults and peak RSS from
+//!   `getrusage`, reported beside wall time in BENCH records.
 //! * [`gate`] — perf-regression comparison of a `BENCH_summary.json`
 //!   against a checked-in baseline (the CI perf gate).
 //!

@@ -366,13 +366,14 @@ mod tests {
         assert_eq!(host_v.get("wall_ms").and_then(JsonValue::as_f64), Some(12.5));
         assert_eq!(host_v.get("parallel"), Some(&JsonValue::Bool(true)));
         assert_eq!(host_v.get("user_ms"), None);
-        let rusage = Some(Rusage { user_ms: 3.0, sys_ms: 1.0, minor_faults: 9 });
+        let rusage = Some(Rusage { user_ms: 3.0, sys_ms: 1.0, minor_faults: 9, max_rss_mib: 40.5 });
         let serial = HostInfo { rusage, parallel: false, threads: 1, ..host };
         let doc2 = parse_json(&rep.bench_json(&serial)).unwrap();
         assert_eq!(doc2.get("sim_digest"), doc.get("sim_digest"));
         let host2 = doc2.get("host").unwrap();
         assert_eq!(host2.get("sys_ms").and_then(JsonValue::as_f64), Some(1.0));
         assert_eq!(host2.get("minor_faults").and_then(JsonValue::as_u64), Some(9));
+        assert_eq!(host2.get("max_rss_mib").and_then(JsonValue::as_f64), Some(40.5));
         // The text echo of rows stays greppable.
         assert!(rep.text().contains("@json fig99 {\"pages\":8"));
     }

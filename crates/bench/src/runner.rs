@@ -382,7 +382,7 @@ mod tests {
         use svagc_metrics::{parse_json, JsonValue};
         let mut rep = Report::new("fake", "synthetic");
         rep.counter("gc.pause_cycles", 42);
-        let rusage = Some(Rusage { user_ms: 1.0, sys_ms: 0.5, minor_faults: 3 });
+        let rusage = Some(Rusage { user_ms: 1.0, sys_ms: 0.5, minor_faults: 3, max_rss_mib: 7.25 });
         let outcomes = vec![Outcome { report: rep, wall_ms: 1.5, rusage }];
         let doc = parse_json(&summary_json(&outcomes, true)).unwrap();
         assert_eq!(
@@ -403,5 +403,6 @@ mod tests {
         assert_eq!(exps[0].get("wall_ms").and_then(JsonValue::as_f64), Some(1.5));
         assert_eq!(exps[0].get("sys_ms").and_then(JsonValue::as_f64), Some(0.5));
         assert_eq!(exps[0].get("minor_faults").and_then(JsonValue::as_u64), Some(3));
+        assert_eq!(exps[0].get("max_rss_mib").and_then(JsonValue::as_f64), Some(7.25));
     }
 }

@@ -1,5 +1,5 @@
-//! Host CPU time and minor page faults of this process, read with
-//! `getrusage(RUSAGE_SELF)`.
+//! Host CPU time, minor page faults and peak resident set size of this
+//! process, read with `getrusage(RUSAGE_SELF)`.
 //!
 //! These figures are reported beside each BENCH record's wall time and,
 //! like it, stay outside the simulated digest: no gate or bound reads
@@ -8,7 +8,8 @@
 //! host-parallel runs.
 
 /// CPU time and minor page faults over an interval (or since process
-/// start, as [`Rusage::now`] returns).
+/// start, as [`Rusage::now`] returns), and the process's peak resident
+/// set size at its end.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Rusage {
     /// User-mode CPU time, milliseconds.
@@ -17,6 +18,10 @@ pub struct Rusage {
     pub sys_ms: f64,
     /// Page faults served without I/O.
     pub minor_faults: u64,
+    /// The process's peak resident set size so far, MiB (`ru_maxrss`).
+    /// A high-water mark, not a delta: an interval reports the peak at
+    /// its end, which covers everything that ran before it.
+    pub max_rss_mib: f64,
 }
 
 impl Rusage {
@@ -33,15 +38,16 @@ impl Rusage {
             user_ms: end.user_ms - start.user_ms,
             sys_ms: end.sys_ms - start.sys_ms,
             minor_faults: end.minor_faults.saturating_sub(start.minor_faults),
+            max_rss_mib: end.max_rss_mib,
         })
     }
 
-    /// Append `,"user_ms":..,"sys_ms":..,"minor_faults":..` to a JSON
-    /// object under construction.
+    /// Append `,"user_ms":..,"sys_ms":..,"minor_faults":..,"max_rss_mib":..`
+    /// to a JSON object under construction.
     pub fn write_json_fields(&self, out: &mut String) {
         out.push_str(&format!(
-            ",\"user_ms\":{},\"sys_ms\":{},\"minor_faults\":{}",
-            self.user_ms, self.sys_ms, self.minor_faults
+            ",\"user_ms\":{},\"sys_ms\":{},\"minor_faults\":{},\"max_rss_mib\":{}",
+            self.user_ms, self.sys_ms, self.minor_faults, self.max_rss_mib
         ));
     }
 }
@@ -58,7 +64,8 @@ mod sys {
     }
 
     /// `struct rusage` as Linux lays it out: two timevals, then fourteen
-    /// longs, of which `ru_minflt` is the fifth.
+    /// longs, of which `ru_maxrss` (KiB) is the first and `ru_minflt` the
+    /// fifth.
     #[repr(C)]
     struct RawRusage {
         ru_utime: Timeval,
@@ -67,6 +74,7 @@ mod sys {
     }
 
     const RUSAGE_SELF: c_int = 0;
+    const RU_MAXRSS: usize = 0;
     const RU_MINFLT: usize = 4;
 
     extern "C" {
@@ -98,6 +106,7 @@ mod sys {
             user_ms: ms(&raw.ru_utime),
             sys_ms: ms(&raw.ru_stime),
             minor_faults: raw.longs[RU_MINFLT] as u64,
+            max_rss_mib: raw.longs[RU_MAXRSS] as f64 / 1024.0,
         })
     }
 }
@@ -132,6 +141,9 @@ mod tests {
         std::hint::black_box((&v, x));
         let d = Rusage::since(start).unwrap();
         assert!(d.minor_faults > 0, "{d:?}");
+        // The 64 MiB were resident at once, so the peak covers them.
+        assert!(d.max_rss_mib >= 64.0, "{d:?}");
+        assert!(d.max_rss_mib >= start.unwrap().max_rss_mib, "{d:?}");
         assert!(d.user_ms + d.sys_ms > 0.0, "{d:?}");
         assert!(d.user_ms >= 0.0 && d.sys_ms >= 0.0, "{d:?}");
     }
@@ -142,6 +154,7 @@ mod tests {
             user_ms: 1.5,
             sys_ms: 0.25,
             minor_faults: 7,
+            max_rss_mib: 12.5,
         };
         let mut s = String::from("{\"wall_ms\":2");
         r.write_json_fields(&mut s);
@@ -156,6 +169,11 @@ mod tests {
             doc.get("minor_faults")
                 .and_then(svagc_metrics::JsonValue::as_u64),
             Some(7)
+        );
+        assert_eq!(
+            doc.get("max_rss_mib")
+                .and_then(svagc_metrics::JsonValue::as_f64),
+            Some(12.5)
         );
     }
 }

@@ -84,6 +84,8 @@ pub struct ConcurrentCollector {
     satb: SatbBuffer,
     marking: Option<Marking>,
     barrier_enabled: bool,
+    /// The last finished mark's bitmap, recycled by the next mark.
+    spare: MarkBitmap,
 }
 
 impl ConcurrentCollector {
@@ -96,6 +98,7 @@ impl ConcurrentCollector {
             satb: SatbBuffer::new(),
             marking: None,
             barrier_enabled: true,
+            spare: MarkBitmap::default(),
         }
     }
 
@@ -132,6 +135,14 @@ impl ConcurrentCollector {
         CoreId(self.inner.cfg.core_base % kernel.cores())
     }
 
+    /// An empty bitmap over `heap`, made from the last mark's buffer.
+    fn fresh_bitmap(&mut self, heap: &Heap) -> MarkBitmap {
+        let mut bitmap = std::mem::take(&mut self.spare);
+        self.inner
+            .recycle_bitmap(&mut bitmap, heap.base(), heap.extent_words());
+        bitmap
+    }
+
     /// Begin an incremental concurrent mark: take the snapshot (roots +
     /// allocation watermark) in a short initial-mark pause. Returns
     /// `false` (and does nothing) if a mark is already in flight — the
@@ -142,7 +153,7 @@ impl ConcurrentCollector {
         }
         // Entries logged before this snapshot belong to no cycle.
         self.satb.drain();
-        let mut bitmap = MarkBitmap::new(heap.base(), heap.extent_words());
+        let mut bitmap = self.fresh_bitmap(heap);
         let mut gray = Vec::new();
         let mut slots = 0u64;
         for r in roots.iter_live() {
@@ -256,7 +267,7 @@ impl ConcurrentCollector {
         roots: &RootSet,
     ) -> Result<Premark, HeapError> {
         let core = self.trace_core(kernel);
-        let mut bitmap = MarkBitmap::new(heap.base(), heap.extent_words());
+        let mut bitmap = self.fresh_bitmap(heap);
         let mut gray = Vec::new();
         let mut slots = 0u64;
         for r in roots.iter_live() {
@@ -306,8 +317,11 @@ impl Collector for ConcurrentCollector {
         } else {
             self.model_cycle(kernel, heap, roots)?
         };
-        self.inner
-            .collect_with_premark(kernel, heap, roots, Some(&premark))
+        let stats = self
+            .inner
+            .collect_with_premark(kernel, heap, roots, Some(&premark));
+        self.spare = premark.bitmap;
+        stats
     }
 
     fn log(&self) -> &GcLog {

@@ -102,6 +102,7 @@ impl CompactionJournal {
             Vec::new()
         };
         kernel.wal_commit(meta);
+        heap.release(self.heap);
     }
 
     /// Abort: undo the live epoch, restore the heap index and roots, and

@@ -48,6 +48,33 @@ pub struct Lisp2Collector {
     /// mutator execution between cycles is excluded, so traces from runs
     /// with different allocation rates stay comparable.
     timeline: Cycles,
+    /// Working memory kept across cycles.
+    scratch: Scratch,
+}
+
+/// A cycle's working memory, kept across cycles so that a steady-state
+/// cycle allocates nothing in proportion to the heap. Each cycle starts by
+/// clearing only what the previous one set.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// The mark bitmap of a cycle that ran its own mark phase.
+    bitmap: MarkBitmap,
+    /// The last attempt's move plan, in ascending source order.
+    moves: Vec<PlannedMove>,
+    /// Was `moves` planned against `bitmap` (rather than a premark's)?
+    planned_on_own: bool,
+}
+
+impl Scratch {
+    /// Unmark the last plan's sources in `bitmap` — the bitmap the plan
+    /// was made against — and empty the plan. Every object a completed
+    /// forward phase found marked has a planned move, so after a
+    /// committed cycle this leaves `bitmap` empty.
+    fn unmark_planned(moves: &mut Vec<PlannedMove>, bitmap: &mut MarkBitmap) {
+        for m in moves.drain(..) {
+            bitmap.unmark(m.src.header_va());
+        }
+    }
 }
 
 /// A pending move computed in the forward phase.
@@ -216,7 +243,20 @@ impl Lisp2Collector {
             log: GcLog::new(),
             degrade: DegradeController::new(cfg.degrade),
             timeline: Cycles::ZERO,
+            scratch: Scratch::default(),
         }
+    }
+
+    /// Clear a finished premark's bitmap for reuse: unmark the last
+    /// cycle's planned sources, then [`MarkBitmap::reset`] it (which
+    /// clears any mark an aborted attempt left). Afterwards the bitmap
+    /// equals `MarkBitmap::new(base, words)`.
+    pub(crate) fn recycle_bitmap(&mut self, bitmap: &mut MarkBitmap, base: VirtAddr, words: u64) {
+        let scratch = &mut self.scratch;
+        if !scratch.planned_on_own {
+            Scratch::unmark_planned(&mut scratch.moves, bitmap);
+        }
+        bitmap.reset(base, words);
     }
 
     /// Run one full STW collection as a **transaction**. Returns this
@@ -244,8 +284,9 @@ impl Lisp2Collector {
     /// concurrent mark. With `premark == None` this is byte-for-byte the
     /// plain STW collection; with `Some`, the mark phase is skipped and the
     /// cycle compacts against the premark bitmap (see [`Premark`]). The
-    /// premark survives aborts: every retry attempt re-clones the bitmap,
-    /// and the rollback restores the pre-GC addresses it describes.
+    /// premark survives aborts: every retry attempt reads the same
+    /// bitmap, and the rollback restores the pre-GC addresses it
+    /// describes.
     pub fn collect_with_premark(
         &mut self,
         kernel: &mut Kernel,
@@ -340,12 +381,19 @@ impl Lisp2Collector {
         let cores = kernel.cores();
         let threads = sched.workers();
         let mut watchdog = GcWatchdog::new(self.cfg.deadline_cycles);
-        let objects: Vec<ObjRef> = heap.objects_sorted().to_vec();
+        let total_objects = heap.objects_sorted().len() as u64;
         let verifier = HeapVerifier::new();
+        // The previous attempt's plan is stale. When it was made against
+        // the own bitmap, unmarking its sources clears that bitmap.
+        let scratch = &mut self.scratch;
+        if scratch.planned_on_own {
+            Scratch::unmark_planned(&mut scratch.moves, &mut scratch.bitmap);
+        }
+        scratch.moves.clear();
+        scratch.planned_on_own = premark.is_none();
         let faults_before = kernel.perf.swap_faults_injected;
 
         // ---- Phase I: mark -------------------------------------------
-        let traced;
         let bitmap = match premark {
             Some(pm) => {
                 // The trace already ran off-pause; charge only the STW
@@ -360,16 +408,16 @@ impl Lisp2Collector {
                 &pm.bitmap
             }
             None => {
-                let mut bitmap = MarkBitmap::new(heap.base(), heap.extent_words());
+                let bitmap = &mut scratch.bitmap;
+                bitmap.reset(heap.base(), heap.extent_words());
                 // Roots outside this heap (e.g. nursery objects during an
                 // old-generation-only collection) are not ours to trace.
                 let in_heap = |va: VirtAddr| heap.contains(va);
-                let mut stack = seed_roots(kernel, roots, &mut bitmap, &mut sched, in_heap);
+                let mut stack = seed_roots(kernel, roots, bitmap, &mut sched, in_heap);
                 let kind = PacketKind::MarkChunk;
-                trace_closure(kernel, heap, &mut bitmap, &mut sched, &mut stack, kind, in_heap)?;
+                trace_closure(kernel, heap, bitmap, &mut sched, &mut stack, kind, in_heap)?;
                 stats.phases.mark = sched.milestone();
-                traced = bitmap;
-                &traced
+                &scratch.bitmap
             }
         };
         let t_mark = stats.phases.mark;
@@ -381,7 +429,8 @@ impl Lisp2Collector {
         // ---- Phase II: forwarding address calculation ----------------
         sched.open_phase(t_mark, threads);
         let mut comp_pnt = heap.base();
-        let mut moves: Vec<PlannedMove> = Vec::new();
+        let moves = &mut scratch.moves;
+        let (_, objects) = heap.space_and_objects();
         for (s, e) in sched.ranges(objects.len(), |_| true) {
             let ticket = sched.begin(PacketKind::ForwardRange, t_mark);
             let core = sched.core(&ticket);
@@ -413,6 +462,7 @@ impl Lisp2Collector {
             sched.emit(&mut kernel.trace, &ticket, t, (e - s) as u64);
         }
         let new_top = comp_pnt;
+        let moves = &*moves;
         let t_fwd = sched.milestone();
         stats.phases.forward = t_fwd.saturating_sub(t_mark);
         watchdog.check("forward", stats.phases.forward)?;
@@ -682,7 +732,7 @@ impl Lisp2Collector {
                 sched.charge_all(worst);
             }
             // Clear forwarding words at the destinations.
-            for m in &moves {
+            for m in moves {
                 let ticket = sched.begin_balanced(PacketKind::CompactBatch);
                 let core = sched.core(&ticket);
                 let t = kernel.write_word(heap.space(), core, m.dst.forwarding_va(), 0)?;
@@ -710,10 +760,9 @@ impl Lisp2Collector {
         watchdog.check("compact", stats.phases.compact)?;
 
         // Publish the new heap layout.
-        let survivors: Vec<ObjRef> = moves.iter().map(|m| m.dst).collect();
-        stats.live_objects = survivors.len() as u64;
-        stats.dead_objects = objects.len() as u64 - survivors.len() as u64;
-        heap.complete_gc(survivors, new_top);
+        stats.live_objects = moves.len() as u64;
+        stats.dead_objects = total_objects - stats.live_objects;
+        heap.complete_gc(moves.iter().map(|m| m.dst), new_top);
         if self.cfg.verify_phases {
             Self::require_clean(verifier.verify_post_compact(kernel, heap, roots), stats)?;
         }
@@ -723,7 +772,7 @@ impl Lisp2Collector {
         stats.sched_steals = sched_stats.steals;
         stats.sched_steal_cycles = sched_stats.steal_cycles;
 
-        self.emit_phase_spans(kernel, cycle_start, stats, objects.len() as u64);
+        self.emit_phase_spans(kernel, cycle_start, stats, total_objects);
         Ok(())
     }
 

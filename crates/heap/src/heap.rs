@@ -156,6 +156,10 @@ pub struct Heap {
     /// All allocated objects in allocation order (sorted on demand).
     objects: Vec<ObjRef>,
     sorted: bool,
+    /// The buffer the next [`Heap::snapshot`] copies `objects` into,
+    /// handed back by [`Heap::release`] or [`Heap::restore`], so
+    /// transactional cycles do not allocate an object list each.
+    spare: Vec<ObjRef>,
     /// Statistics.
     pub stats: HeapStats,
 }
@@ -184,6 +188,7 @@ impl Heap {
             cfg,
             objects: Vec::new(),
             sorted: true,
+            spare: Vec::new(),
             stats: HeapStats::default(),
         })
     }
@@ -551,11 +556,14 @@ impl Heap {
     }
 
     /// Capture the host-side allocation state for a transactional GC
-    /// cycle. Pair with [`Heap::restore`] on abort.
-    pub fn snapshot(&self) -> HeapSnapshot {
+    /// cycle. Pair with [`Heap::restore`] on abort and [`Heap::release`]
+    /// on commit, which return the snapshot's buffer for the next cycle.
+    pub fn snapshot(&mut self) -> HeapSnapshot {
+        let mut objects = std::mem::take(&mut self.spare);
+        objects.clone_from(&self.objects);
         HeapSnapshot {
             top: self.top,
-            objects: self.objects.clone(),
+            objects,
             sorted: self.sorted,
             stats: self.stats,
         }
@@ -564,9 +572,15 @@ impl Heap {
     /// Restore a snapshot taken by [`Heap::snapshot`] (transaction abort).
     pub fn restore(&mut self, snap: HeapSnapshot) {
         self.top = snap.top;
-        self.objects = snap.objects;
+        self.spare = std::mem::replace(&mut self.objects, snap.objects);
         self.sorted = snap.sorted;
         self.stats = snap.stats;
+    }
+
+    /// Drop a snapshot that is no longer needed (transaction commit),
+    /// keeping its buffer for the next one.
+    pub fn release(&mut self, snap: HeapSnapshot) {
+        self.spare = snap.objects;
     }
 
     /// The heap's construction parameters.
@@ -617,14 +631,17 @@ impl Heap {
             cfg,
             objects,
             sorted: false,
+            spare: Vec::new(),
             stats,
         }
     }
 
-    /// Replace the object list and cursor after a collection.
-    pub fn complete_gc(&mut self, survivors: Vec<ObjRef>, new_top: VirtAddr) {
+    /// Replace the object list (in place, keeping its buffer) and cursor
+    /// after a collection. `survivors` must be in address order.
+    pub fn complete_gc(&mut self, survivors: impl IntoIterator<Item = ObjRef>, new_top: VirtAddr) {
         debug_assert!(new_top >= self.base && new_top.get() <= self.end.get());
-        self.objects = survivors;
+        self.objects.clear();
+        self.objects.extend(survivors);
         self.sorted = true;
         self.top = new_top;
     }

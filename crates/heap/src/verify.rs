@@ -669,6 +669,15 @@ mod tests {
         assert_eq!(h.top(), top0);
         assert_eq!(h.object_count(), count0);
         assert_eq!(h.stats.allocations, stats0.allocations);
+        // A second round reuses the first snapshot's buffer and still
+        // captures the current list.
+        let snap = h.snapshot();
+        h.alloc(&mut k, CORE, ObjShape::data(8)).unwrap();
+        h.restore(snap);
+        assert_eq!(h.object_count(), count0);
+        let snap = h.snapshot();
+        h.release(snap);
+        assert_eq!(h.object_count(), count0);
     }
 
     #[test]

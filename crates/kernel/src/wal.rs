@@ -153,17 +153,12 @@ impl Preimages {
         &self.bytes[at..at + len as usize]
     }
 
-    /// Empty the arena for the next epoch, keeping its buffers warm —
-    /// unless a one-off giant cycle grew them past a cap, so its peak
-    /// pre-image footprint is not pinned in memory forever.
+    /// Empty the arena for the next epoch, keeping its buffers. Their
+    /// capacity is what the largest epoch of this kernel needed, and it
+    /// dies with the kernel. Dropping a large arena would make the next
+    /// large epoch regrow it through `realloc` and fault its pages in
+    /// afresh from the host kernel.
     fn recycle(&mut self) {
-        const CAP_BYTES: usize = 8 << 20;
-        if self.bytes.capacity() > CAP_BYTES {
-            self.bytes = Vec::new();
-        }
-        if self.ptes.capacity() * WORD_BYTES as usize > CAP_BYTES {
-            self.ptes = Vec::new();
-        }
         self.bytes.clear();
         self.ptes.clear();
     }

@@ -7,6 +7,7 @@
 use crate::addr::{FrameId, PhysAddr, PAGE_SHIFT, PAGE_SIZE};
 use crate::error::VmError;
 use crate::pool::{AllocContext, FrameLease};
+use std::sync::{Mutex, MutexGuard};
 
 /// Flat physical memory of `frames * 4096` bytes.
 ///
@@ -14,19 +15,107 @@ use crate::pool::{AllocContext, FrameLease};
 /// every byte is 0*: writes mark the frames they touch, and [`PhysMem::zero`]
 /// skips clean frames. Zeroing memory that is still zero therefore writes
 /// nothing, and never-written frames stay untouched host pages.
+///
+/// The same invariant recycles the host memory across machines: a dropped
+/// `PhysMem` zeroes only its dirty frames and hands its buffers to a
+/// process-wide pool of at most [`SPARE_BYTES`], and [`PhysMem::new`]
+/// takes the smallest pooled buffer that fits. A run therefore reuses the
+/// pages the previous run faulted in instead of asking the host kernel for
+/// fresh zeroed ones. The buffer may be larger than the machine; every
+/// access is bounds-checked against the machine's own frame count.
 #[derive(Debug)]
 pub struct PhysMem {
-    bytes: Vec<u8>,
-    dirty: Vec<bool>,
+    /// At least `len` bytes; everything past `len` stays zero.
+    bytes: Box<[u8]>,
+    /// One flag per frame of `bytes`; only the first `frames` can be set.
+    dirty: Box<[bool]>,
+    /// `frames * PAGE_SIZE`: the end of the addressable range.
+    len: u64,
     frames: u32,
+}
+
+/// Bytes of zeroed frame buffers the process keeps for the next
+/// [`PhysMem::new`]. A buffer larger than this is returned to the host.
+pub const SPARE_BYTES: usize = 512 << 20;
+
+/// The buffers of a dropped [`PhysMem`]: every byte zero, every frame
+/// clean.
+#[derive(Debug)]
+struct Buffers {
+    bytes: Box<[u8]>,
+    dirty: Box<[bool]>,
+}
+
+/// Zeroed frame buffers kept for reuse, oldest first, holding at most
+/// `budget` bytes.
+#[derive(Debug)]
+struct SparePool {
+    budget: usize,
+    held: usize,
+    buffers: Vec<Buffers>,
+}
+
+impl SparePool {
+    const fn new(budget: usize) -> SparePool {
+        SparePool {
+            budget,
+            held: 0,
+            buffers: Vec::new(),
+        }
+    }
+
+    /// The smallest held buffer of at least `len` bytes.
+    fn take(&mut self, len: usize) -> Option<Buffers> {
+        let (i, _) = self
+            .buffers
+            .iter()
+            .enumerate()
+            .filter(|(_, b)| b.bytes.len() >= len)
+            .min_by_key(|(_, b)| b.bytes.len())?;
+        let b = self.buffers.remove(i);
+        self.held -= b.bytes.len();
+        Some(b)
+    }
+
+    /// Keep `b`, evicting the oldest buffers past the budget. Returns the
+    /// buffers to drop (outside the pool's lock).
+    fn give(&mut self, b: Buffers) -> Vec<Buffers> {
+        if b.bytes.len() > self.budget {
+            return vec![b];
+        }
+        self.held += b.bytes.len();
+        self.buffers.push(b);
+        let mut evicted = Vec::new();
+        while self.held > self.budget {
+            let old = self.buffers.remove(0);
+            self.held -= old.bytes.len();
+            evicted.push(old);
+        }
+        evicted
+    }
+}
+
+static SPARE: Mutex<SparePool> = Mutex::new(SparePool::new(SPARE_BYTES));
+
+/// The process-wide pool. Its buffers are all zero whatever a panicking
+/// holder was doing, so a poisoned lock is still sound to use.
+fn spare() -> MutexGuard<'static, SparePool> {
+    SPARE.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 impl PhysMem {
     /// Allocate a pool of `frames` zeroed frames.
     pub fn new(frames: u32) -> PhysMem {
+        let len = frames as usize * PAGE_SIZE as usize;
+        let pooled = if len > 0 { spare().take(len) } else { None };
+        let Buffers { bytes, dirty } = pooled.unwrap_or_else(|| Buffers {
+            bytes: vec![0u8; len].into_boxed_slice(),
+            dirty: vec![false; frames as usize].into_boxed_slice(),
+        });
         PhysMem {
-            bytes: vec![0u8; frames as usize * PAGE_SIZE as usize],
-            dirty: vec![false; frames as usize],
+            bytes,
+            dirty,
+            len: len as u64,
             frames,
         }
     }
@@ -40,7 +129,7 @@ impl PhysMem {
     fn check(&self, pa: PhysAddr, len: u64) -> Result<usize, VmError> {
         let start = pa.get();
         let end = start.checked_add(len).ok_or(VmError::BadPhysAddr(pa))?;
-        if end > self.bytes.len() as u64 {
+        if end > self.len {
             return Err(VmError::BadPhysAddr(pa));
         }
         Ok(start as usize)
@@ -138,6 +227,27 @@ impl PhysMem {
     pub fn frame_bytes(&self, frame: FrameId) -> Result<&[u8], VmError> {
         let i = self.check(frame.base(), PAGE_SIZE)?;
         Ok(&self.bytes[i..i + PAGE_SIZE as usize])
+    }
+}
+
+impl Drop for PhysMem {
+    /// Zero the dirty frames and hand the buffers to the process-wide
+    /// pool, which returns them to the host past its budget.
+    fn drop(&mut self) {
+        let mut b = Buffers {
+            bytes: std::mem::take(&mut self.bytes),
+            dirty: std::mem::take(&mut self.dirty),
+        };
+        if b.bytes.is_empty() || b.bytes.len() > SPARE_BYTES {
+            return;
+        }
+        let page = PAGE_SIZE as usize;
+        for (frame, dirty) in b.dirty.iter_mut().enumerate().filter(|(_, d)| **d) {
+            b.bytes[frame * page..(frame + 1) * page].fill(0);
+            *dirty = false;
+        }
+        let evicted = spare().give(b);
+        drop(evicted);
     }
 }
 
@@ -503,7 +613,7 @@ mod tests {
                     }
                 }
                 let at = format!("case {case} (seed {seed:#x}) step {step} op {op}");
-                assert!(m.bytes == model, "{at}: bytes diverged from the model");
+                assert!(m.bytes[..size as usize] == model, "{at}: bytes diverged from the model");
                 for f in 0..FRAMES {
                     assert!(
                         m.dirty[f as usize] || m.frame_bytes(FrameId(f)).unwrap().iter().all(|&b| b == 0),
@@ -518,12 +628,81 @@ mod tests {
     fn only_whole_frame_zeroing_cleans_a_frame() {
         let mut m = PhysMem::new(2);
         m.write_u64(PhysAddr(4096 - 4), u64::MAX).unwrap(); // straddles 0|1
-        assert_eq!(m.dirty, [true, true]);
+        assert_eq!(m.dirty[..2], [true, true]);
         m.zero(PhysAddr(8), 4096).unwrap(); // whole of neither frame
-        assert_eq!(m.dirty, [true, true]);
+        assert_eq!(m.dirty[..2], [true, true]);
         m.zero_frame(FrameId(1)).unwrap();
-        assert_eq!(m.dirty, [true, false]);
+        assert_eq!(m.dirty[..2], [true, false]);
         assert_eq!(m.read_u64(PhysAddr(0)).unwrap(), 0);
+    }
+
+    /// Every byte a machine of `frames` frames can address reads zero,
+    /// and every frame starts clean.
+    fn assert_fresh(m: &PhysMem, frames: u32) {
+        assert_eq!(m.frame_count(), frames);
+        for f in 0..frames {
+            let bytes = m.frame_bytes(FrameId(f)).unwrap();
+            assert!(bytes.iter().all(|&b| b == 0), "frame {f} of {frames} holds non-zero bytes");
+            assert!(!m.dirty[f as usize], "frame {f} of {frames} starts dirty");
+        }
+        // The bound is the machine's own, not its (possibly larger) buffer.
+        assert!(m.read_u64(PhysAddr(frames as u64 * PAGE_SIZE)).is_err());
+    }
+
+    #[test]
+    fn recycled_frames_read_zero() {
+        const FRAMES: u32 = 48;
+        let last = PhysAddr((FRAMES as u64 - 1) * PAGE_SIZE);
+        for (smaller, larger) in [(FRAMES - 7, FRAMES + 9), (1, 2 * FRAMES)] {
+            let mut m = PhysMem::new(FRAMES);
+            // Scattered frames, a word straddling frames 2|3, a byte run
+            // across 9..12, a copy into 20, and the last word of the
+            // last frame.
+            m.write_u64(PhysAddr(3 * PAGE_SIZE - 4), u64::MAX).unwrap();
+            m.write_bytes(PhysAddr(9 * PAGE_SIZE + 100), &[0xAB; 3 * 4096]).unwrap();
+            m.copy(PhysAddr(9 * PAGE_SIZE + 100), PhysAddr(20 * PAGE_SIZE), 64).unwrap();
+            for f in (0..FRAMES).step_by(5) {
+                m.write_u64(PhysAddr(f as u64 * PAGE_SIZE + 8 * f as u64), 0x5EED | 1).unwrap();
+            }
+            m.write_u64(last + (PAGE_SIZE - 8), 0xE0F).unwrap();
+            drop(m);
+            // Other tests share the pool, so these may get this buffer, a
+            // larger one, or a fresh one: each must read zero throughout.
+            for frames in [smaller, larger, FRAMES] {
+                let m = PhysMem::new(frames);
+                assert_fresh(&m, frames);
+            }
+        }
+    }
+
+    #[test]
+    fn the_pool_never_holds_more_than_its_budget() {
+        let buffers = |frames: usize| Buffers {
+            bytes: vec![0u8; frames * PAGE_SIZE as usize].into_boxed_slice(),
+            dirty: vec![false; frames].into_boxed_slice(),
+        };
+        let page = PAGE_SIZE as usize;
+        let mut pool = SparePool::new(10 * page);
+        assert_eq!(pool.give(buffers(4)).len(), 0);
+        assert_eq!(pool.give(buffers(5)).len(), 0);
+        assert_eq!(pool.held, 9 * page);
+        // Over budget alone: refused outright.
+        assert_eq!(pool.give(buffers(11)).len(), 1);
+        // Over budget together: the oldest (4 frames) goes.
+        let evicted = pool.give(buffers(3));
+        assert_eq!(evicted.iter().map(|b| b.bytes.len()).collect::<Vec<_>>(), [4 * page]);
+        assert_eq!(pool.held, 8 * page);
+        // Best fit: the smallest that fits, none when none does.
+        assert_eq!(pool.take(2 * page).unwrap().bytes.len(), 3 * page);
+        assert!(pool.take(6 * page).is_none());
+        assert_eq!(pool.held, 5 * page);
+        assert!(pool.held <= pool.budget);
+
+        // The process-wide pool, under whatever the other tests drop.
+        for frames in [1, 300, 4096] {
+            drop(PhysMem::new(frames));
+            assert!(spare().held <= SPARE_BYTES);
+        }
     }
 
     #[test]
