@@ -3,10 +3,10 @@
 //! and bucket overlap strictly beating the four-barrier pipeline on skewed
 //! work.
 
-use svagc_core::{GcConfig, GcError, Lisp2Collector, SchedulerKind};
+use svagc_core::{GcConfig, GcError, Lisp2Collector, PacketKind, SchedulerKind};
 use svagc_heap::{Heap, HeapConfig, HeapVerifier, ObjRef, ObjShape, RootSet};
 use svagc_kernel::{CoreId, Kernel};
-use svagc_metrics::MachineConfig;
+use svagc_metrics::{MachineConfig, TraceKind};
 use svagc_vmem::{Asid, PAGE_SIZE};
 
 const CORE: CoreId = CoreId(0);
@@ -273,20 +273,15 @@ fn mid_compaction_deadline_counts_the_phase_elapsed_time() {
     ] {
         assert!(c.get() <= budget, "{name} {c} must fit the budget {budget}");
     }
-    #[cfg(feature = "trace")]
-    {
-        use svagc_core::PacketKind;
-        use svagc_metrics::TraceKind;
-        let largest = k
-            .take_trace()
-            .iter()
-            .filter(|e| e.kind == TraceKind::Packet)
-            .filter(|e| e.arg("kind") == Some(PacketKind::CompactBatch.id()))
-            .filter_map(|e| e.dur)
-            .max()
-            .unwrap();
-        assert!(largest.get() <= budget, "largest packet {largest} > budget {budget}");
-    }
+    let largest = k
+        .take_trace()
+        .iter()
+        .filter(|e| e.kind == TraceKind::Packet)
+        .filter(|e| e.arg("kind") == Some(PacketKind::CompactBatch.id()))
+        .filter_map(|e| e.dur)
+        .max()
+        .unwrap();
+    assert!(largest.get() <= budget, "largest packet {largest} > budget {budget}");
 
     let (mut k, mut h, mut roots) = setup(32 << 20);
     build(&mut k, &mut h, &mut roots);

@@ -4,8 +4,7 @@
 //! digests: the FNV-1a of the `{:?}` rendering of every cycle's stats
 //! (`GcCycleStats` / `MinorStats`: phase times, shootdowns, interference,
 //! steals, retries, splits, fallbacks), of the kernel's `PerfCounters`,
-//! the heap content hash, and the FNV-1a of the Chrome trace export (only
-//! with the `trace` feature, which is what records events). The
+//! the heap content hash, and the FNV-1a of the Chrome trace export. The
 //! constants pin the simulated schedule exactly — worker choice, start
 //! times, batch boundaries, trace positions — so any change to how a
 //! collector places work shows up here, not only in aggregate pauses.
@@ -455,8 +454,7 @@ fn schedules_match_golden() {
     for (name, d) in &actual {
         let want = GOLDEN.iter().find(|g| g.0 == name.as_str());
         let ok = want.is_some_and(|&(_, stats, perf, heap, trace)| {
-            let trace_ok = !cfg!(feature = "trace") || trace == d.trace;
-            stats == d.stats && perf == d.perf && heap == d.heap && trace_ok
+            stats == d.stats && perf == d.perf && heap == d.heap && trace == d.trace
         });
         if !ok {
             mismatches.push(name.clone());

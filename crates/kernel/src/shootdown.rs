@@ -290,16 +290,13 @@ mod tests {
         k.translate(&s, CoreId(5), va).unwrap();
         let (_, _) = k.flush_asid_tracked(CoreId(0), s.asid());
         assert_eq!(k.perf.ipis_sent, 1, "exactly the one holder is IPIed");
-        #[cfg(feature = "trace")]
-        {
-            let ev = k
-                .take_trace()
-                .into_iter()
-                .find(|e| e.kind == TraceKind::Shootdown)
-                .expect("tracked flush emits a shootdown event");
-            let victims = ev.arg("victims").unwrap();
-            assert_eq!(victims, 1u64 << 5, "victim mask names core 5 and nobody else");
-        }
+        let ev = k
+            .take_trace()
+            .into_iter()
+            .find(|e| e.kind == TraceKind::Shootdown)
+            .expect("tracked flush emits a shootdown event");
+        let victims = ev.arg("victims").unwrap();
+        assert_eq!(victims, 1u64 << 5, "victim mask names core 5 and nobody else");
     }
 
     #[test]
@@ -314,16 +311,13 @@ mod tests {
             k.translate(&s, CoreId(holder), va).unwrap();
             k.flush_asid_tracked(CoreId(0), s.asid());
             assert_eq!(k.perf.ipis_sent, 1, "holder {holder} must be IPIed");
-            #[cfg(feature = "trace")]
-            {
-                let ev = k
-                    .take_trace()
-                    .into_iter()
-                    .find(|e| e.kind == TraceKind::Shootdown)
-                    .unwrap();
-                let victims = ev.arg("victims").unwrap();
-                assert_eq!(victims, 1u64 << holder, "exact bit for core {holder}");
-            }
+            let ev = k
+                .take_trace()
+                .into_iter()
+                .find(|e| e.kind == TraceKind::Shootdown)
+                .unwrap();
+            let victims = ev.arg("victims").unwrap();
+            assert_eq!(victims, 1u64 << holder, "exact bit for core {holder}");
         }
     }
 
@@ -370,16 +364,13 @@ mod tests {
         // Space 1 is gone everywhere; space 2 is still on cores 3 and 5.
         k.flush_asid_tracked(CoreId(0), s2.asid());
         assert_eq!(k.perf.ipis_sent, 3, "both holders of space 2 are IPIed");
-        #[cfg(feature = "trace")]
-        {
-            let victims: Vec<u64> = k
-                .take_trace()
-                .into_iter()
-                .filter(|e| e.kind == TraceKind::Shootdown)
-                .map(|e| e.arg("victims").unwrap())
-                .collect();
-            assert_eq!(victims, [1 << 3, (1 << 3) | (1 << 5)]);
-        }
+        let victims: Vec<u64> = k
+            .take_trace()
+            .into_iter()
+            .filter(|e| e.kind == TraceKind::Shootdown)
+            .map(|e| e.arg("victims").unwrap())
+            .collect();
+        assert_eq!(victims, [1 << 3, (1 << 3) | (1 << 5)]);
         assert_eq!(k.tlb_oracle_stats().audit_violations, 0);
     }
 
@@ -414,16 +405,13 @@ mod tests {
         k.set_tracing(true);
         k.flush_asid_all_cores(CoreId(0), Asid(1));
         assert_eq!(k.perf.ipis_sent, 63, "all 63 peers of core 0 are IPIed");
-        #[cfg(feature = "trace")]
-        {
-            let ev = k
-                .take_trace()
-                .into_iter()
-                .find(|e| e.kind == TraceKind::Shootdown)
-                .unwrap();
-            let victims = ev.arg("victims").unwrap();
-            assert_eq!(victims, !1u64, "all 63 peers of core 0, each with its own bit");
-        }
+        let ev = k
+            .take_trace()
+            .into_iter()
+            .find(|e| e.kind == TraceKind::Shootdown)
+            .unwrap();
+        let victims = ev.arg("victims").unwrap();
+        assert_eq!(victims, !1u64, "all 63 peers of core 0, each with its own bit");
     }
 
     #[test]

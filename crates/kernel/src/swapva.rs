@@ -637,7 +637,6 @@ mod tests {
         assert_eq!(k.perf.ipis_sent, 0, "pinned mode sends no per-call IPIs");
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn traced_swap_emits_span_matching_perf() {
         let (mut k, mut s) = setup(128);

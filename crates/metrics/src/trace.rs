@@ -19,19 +19,11 @@
 //! set of `(name, value)` argument pairs (pages swapped, IPIs sent, victim
 //! core mask, …).
 //!
-//! # Zero cost when disabled
+//! # Cheap when disabled
 //!
-//! Disabling is two-layered:
-//!
-//! * **Runtime**: a default [`Tracer`] holds no state; every emit method is
-//!   an `#[inline]` no-op guarded by one `Option` check.
-//! * **Compile time**: building with `--no-default-features` (the `trace`
-//!   cargo feature off) removes the state field entirely, so the sink
-//!   compiles to empty functions and the instrumented hot paths are
-//!   byte-for-byte the uninstrumented ones.
-//!
-//! Emit sites therefore never need `#[cfg]` guards or `if enabled` checks —
-//! they call the sink unconditionally.
+//! A default [`Tracer`] holds no state; every emit method is an
+//! `#[inline]` no-op guarded by one `Option` check. Emit sites therefore
+//! never need `if enabled` checks — they call the sink unconditionally.
 //!
 //! # Exporters
 //!
@@ -215,8 +207,7 @@ impl TraceEvent {
     }
 }
 
-/// Per-run mutable sink state (only exists in `trace` builds).
-#[cfg(feature = "trace")]
+/// Per-run mutable sink state (only exists while the sink is enabled).
 #[derive(Debug, Default)]
 struct TraceState {
     events: Vec<TraceEvent>,
@@ -227,11 +218,10 @@ struct TraceState {
     base: Cycles,
 }
 
-/// The event sink. Cheap to embed (one pointer-sized option), disabled by
-/// default, and compiled to a zero-sized no-op without the `trace` feature.
+/// The event sink. Cheap to embed (one pointer-sized option) and disabled
+/// by default.
 #[derive(Debug, Default)]
 pub struct Tracer {
-    #[cfg(feature = "trace")]
     state: Option<Box<TraceState>>,
 }
 
@@ -241,71 +231,44 @@ impl Tracer {
         Tracer::default()
     }
 
-    /// An enabled, empty sink. Without the `trace` feature this still
-    /// returns a no-op sink — enabling is a runtime request, recording
-    /// requires the compile-time feature too.
+    /// An enabled, empty sink.
     pub fn enabled() -> Tracer {
-        #[cfg(feature = "trace")]
-        {
-            Tracer {
-                state: Some(Box::default()),
-            }
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            Tracer {}
+        Tracer {
+            state: Some(Box::default()),
         }
     }
 
     /// Is the sink recording?
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        #[cfg(feature = "trace")]
-        {
-            self.state.is_some()
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            false
-        }
+        self.state.is_some()
     }
 
     /// Set the virtual-time origin for subsequent relative emissions.
     #[inline]
     pub fn set_base(&mut self, base: Cycles) {
-        #[cfg(feature = "trace")]
         if let Some(s) = &mut self.state {
             s.base = base;
         }
-        #[cfg(not(feature = "trace"))]
-        let _ = base;
     }
 
     /// The current virtual-time origin ([`Cycles::ZERO`] when disabled).
     #[inline]
     pub fn base(&self) -> Cycles {
-        #[cfg(feature = "trace")]
-        if let Some(s) = &self.state {
-            return s.base;
-        }
-        Cycles::ZERO
+        self.state.as_ref().map_or(Cycles::ZERO, |s| s.base)
     }
 
     /// Advance the virtual-time origin by `d` (cycles just consumed).
     #[inline]
     pub fn advance(&mut self, d: Cycles) {
-        #[cfg(feature = "trace")]
         if let Some(s) = &mut self.state {
             s.base += d;
         }
-        #[cfg(not(feature = "trace"))]
-        let _ = d;
     }
 
     /// Record a point event at `base + dt`, attributed to `tid`.
     #[inline]
     pub fn instant(&mut self, kind: TraceKind, dt: Cycles, tid: u32, args: &[(&'static str, u64)]) {
-        #[cfg(feature = "trace")]
         if let Some(s) = &mut self.state {
             let ts = s.base + dt;
             s.events.push(TraceEvent {
@@ -315,10 +278,6 @@ impl Tracer {
                 tid,
                 args: args.to_vec(),
             });
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = (kind, dt, tid, args);
         }
     }
 
@@ -332,7 +291,6 @@ impl Tracer {
         tid: u32,
         args: &[(&'static str, u64)],
     ) {
-        #[cfg(feature = "trace")]
         if let Some(s) = &mut self.state {
             let ts = s.base + start_dt;
             s.events.push(TraceEvent {
@@ -342,10 +300,6 @@ impl Tracer {
                 tid,
                 args: args.to_vec(),
             });
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = (kind, start_dt, dur, tid, args);
         }
     }
 
@@ -359,7 +313,6 @@ impl Tracer {
         tid: u32,
         args: &[(&'static str, u64)],
     ) {
-        #[cfg(feature = "trace")]
         if let Some(s) = &mut self.state {
             s.events.push(TraceEvent {
                 kind,
@@ -369,36 +322,18 @@ impl Tracer {
                 args: args.to_vec(),
             });
         }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = (kind, ts, dur, tid, args);
-        }
     }
 
     /// The events recorded so far (empty when disabled).
     pub fn events(&self) -> &[TraceEvent] {
-        #[cfg(feature = "trace")]
-        {
-            self.state.as_ref().map_or(&[], |s| &s.events)
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            &[]
-        }
+        self.state.as_ref().map_or(&[], |s| &s.events)
     }
 
     /// Drain the recorded events, leaving the sink enabled-state unchanged.
     pub fn take(&mut self) -> Vec<TraceEvent> {
-        #[cfg(feature = "trace")]
-        {
-            self.state
-                .as_mut()
-                .map_or_else(Vec::new, |s| std::mem::take(&mut s.events))
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            Vec::new()
-        }
+        self.state
+            .as_mut()
+            .map_or_else(Vec::new, |s| std::mem::take(&mut s.events))
     }
 }
 
@@ -572,7 +507,7 @@ pub fn trace_summary(events: &[TraceEvent], top_n: usize, cores: usize) -> Strin
     out
 }
 
-#[cfg(all(test, feature = "trace"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::registry::Registry;

@@ -168,9 +168,8 @@ pub struct RunConfig {
     /// Degraded-mode circuit-breaker policy applied after aborted cycles
     /// (default off — aborts propagate as errors).
     pub degrade: DegradePolicy,
-    /// Record cycle-accurate trace events (requires the `trace` feature;
-    /// a no-op sink otherwise). Off by default — the disabled tracer is a
-    /// branch on a `None`.
+    /// Record cycle-accurate trace events. Off by default — the disabled
+    /// tracer is a branch on a `None`.
     pub trace: bool,
     /// Run under the stale-translation oracle: every TLB hit is
     /// cross-checked against the live page table and every kernel flush
@@ -441,7 +440,7 @@ pub struct RunResult {
     /// the chaos suite compares faulty runs against fault-free ones.
     pub heap_hash: u64,
     /// Trace events recorded during the run (empty unless
-    /// [`RunConfig::trace`] was set and the `trace` feature is on).
+    /// [`RunConfig::trace`] was set).
     pub trace: Vec<TraceEvent>,
     /// Stale-translation oracle counters (all zero when the oracle was
     /// off; a run with violations fails before producing a result, so a
