@@ -3,7 +3,7 @@
 //! work-stealing, and SwapVA in the Minor GC (Table I row 2).
 
 use svagc_baselines::{LosCollector, LosHeap};
-use svagc_core::{GcConfig, Lisp2Collector, MinorConfig, MinorGc};
+use svagc_core::{GcConfig, Lisp2Collector, MinorGc};
 use svagc_heap::{GenHeap, Heap, HeapConfig, HeapError, ObjRef, ObjShape, RootSet};
 use svagc_kernel::{CoreId, Kernel};
 use svagc_metrics::{impl_to_json, Cycles, MachineConfig, SimRng};
@@ -183,7 +183,7 @@ pub fn minor_gc_ablation() -> Vec<MinorAblationRow> {
     [2u64, 6, 10, 16, 32, 64]
         .iter()
         .map(|&pages| {
-            let run = |cfg: MinorConfig| {
+            let run = |cfg: GcConfig| {
                 let mut k =
                     Kernel::with_bytes(MachineConfig::xeon_gold_6130(), 512 << 20);
                 let mut gh =
@@ -199,8 +199,8 @@ pub fn minor_gc_ablation() -> Vec<MinorAblationRow> {
                 let mut gc = MinorGc::new(cfg);
                 gc.collect(&mut k, &mut gh, &mut roots).unwrap().pause
             };
-            let memmove = run(MinorConfig::memmove(8));
-            let swapva = run(MinorConfig::svagc(8));
+            let memmove = run(GcConfig::lisp2_memmove(8));
+            let swapva = run(GcConfig::svagc(8));
             MinorAblationRow {
                 obj_pages: pages,
                 memmove_us: machine.time(memmove).as_micros(),

@@ -297,7 +297,9 @@ fn main() {
             }
             if let Some(m) = get(&fs, "wal-mutate") {
                 cfg.wal_mutation = Some(WalMutation::parse(m).unwrap_or_else(|| {
-                    eprintln!("unknown WAL mutation {m:?} (skip-commit | drop-intent)");
+                    eprintln!(
+                        "unknown WAL mutation {m:?} (skip-commit | drop-intent | corrupt-preimage)"
+                    );
                     usage()
                 }));
             }

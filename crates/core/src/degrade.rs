@@ -26,7 +26,6 @@
 //! breaker — a new abort during probation re-escalates immediately).
 
 use crate::config::GcConfig;
-use crate::minor::MinorConfig;
 
 /// How conservatively the next GC cycle runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -228,8 +227,9 @@ impl DegradeController {
         Some(ModeTransition { from, to })
     }
 
-    /// The full-GC configuration the current mode dictates, derived from
-    /// the user's requested `cfg`.
+    /// The configuration the current mode dictates, derived from the
+    /// user's requested `cfg` — for the full collector and the scavenger
+    /// alike.
     pub fn apply(&self, cfg: &GcConfig) -> GcConfig {
         match self.mode {
             DegradedMode::Normal => *cfg,
@@ -241,24 +241,6 @@ impl DegradeController {
                 c.work_stealing = false;
                 c
             }
-        }
-    }
-
-    /// The minor-GC configuration the current mode dictates.
-    pub fn apply_minor(&self, cfg: &MinorConfig) -> MinorConfig {
-        match self.mode {
-            DegradedMode::Normal => *cfg,
-            DegradedMode::MemmoveOnly => MinorConfig {
-                use_swapva: false,
-                aggregation: None,
-                ..*cfg
-            },
-            DegradedMode::SingleThreaded => MinorConfig {
-                use_swapva: false,
-                aggregation: None,
-                gc_threads: 1,
-                ..*cfg
-            },
         }
     }
 }
@@ -324,6 +306,7 @@ mod tests {
         assert_eq!(m.gc_threads, 8, "MemmoveOnly keeps parallelism");
         c.on_abort();
         let s = c.apply(&base);
+        assert!(!s.use_swapva && s.aggregation.is_none());
         assert_eq!(s.gc_threads, 1);
         assert_eq!(s.compact_threads, Some(1));
         assert!(!s.work_stealing);
@@ -331,14 +314,15 @@ mod tests {
 
     #[test]
     fn apply_minor_shapes_the_config() {
-        let base = MinorConfig::svagc(4);
+        // The scavenger's configuration goes through the same `apply`.
+        let base = GcConfig::svagc(4);
         let mut c = DegradeController::new(DegradePolicy::standard());
         c.on_abort();
-        let m = c.apply_minor(&base);
+        let m = c.apply(&base);
         assert!(!m.use_swapva && m.aggregation.is_none());
         assert_eq!(m.gc_threads, 4);
         c.on_abort();
-        assert_eq!(c.apply_minor(&base).gc_threads, 1);
+        assert_eq!(c.apply(&base).gc_threads, 1);
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub use degrade::{DegradeController, DegradePolicy, DegradedMode, ModeTransition
 pub use error::GcError;
 pub use journal::{CompactionJournal, RollbackReport};
 pub use lisp2::{Lisp2Collector, Premark};
-pub use minor::{full_collect_generational, MinorConfig, MinorGc, MinorStats};
+pub use minor::{full_collect_generational, MinorGc, MinorStats};
 pub use packets::{PacketKind, PacketTicket, SchedStats};
 pub use pressure::{PressureAction, PressureEscalator, PressureStats};
 pub use protocol::{

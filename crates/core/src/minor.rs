@@ -19,81 +19,18 @@
 //!    memmove. Then reset eden; the remembered set is clean by
 //!    construction (no young objects remain).
 
-use crate::config::SchedulerKind;
-use crate::degrade::{DegradeController, DegradePolicy};
+use crate::config::{GcConfig, SchedulerKind};
+use crate::degrade::DegradeController;
 use crate::error::GcError;
 use crate::journal::{transact, Transactional};
 use crate::lisp2::{seed_roots, trace_closure};
 use crate::packets::{BarrierPhases, BatchDeps, PacketKind, PacketScheduler, Schedule};
-use crate::resilience::{RetryPolicy, SwapPlan};
+use crate::resilience::SwapPlan;
 use crate::watchdog::GcWatchdog;
 use svagc_heap::{GenHeap, Heap, HeapError, MarkBitmap, ObjRef, RootSet, CARD_BYTES};
 use svagc_kernel::{FlushMode, Kernel, SwapBatch, SwapRequest, SwapVaOptions};
 use svagc_metrics::{Cycles, TraceKind};
 use svagc_vmem::{VirtAddr, PAGE_SIZE};
-
-/// Minor-collector configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct MinorConfig {
-    /// Scavenger worker threads.
-    pub gc_threads: usize,
-    /// Promote large survivors by PTE swapping.
-    pub use_swapva: bool,
-    /// Aggregate up to this many swap requests per syscall.
-    pub aggregation: Option<usize>,
-    /// PMD walk caching inside SwapVA.
-    pub pmd_cache: bool,
-    /// Retry/backoff budget for transient SwapVA faults during promotion.
-    pub retry: RetryPolicy,
-    /// Per-phase watchdog deadline in virtual cycles (`None` disarms).
-    pub deadline_cycles: Option<u64>,
-    /// Degraded-mode circuit-breaker policy for aborted scavenges.
-    pub degrade: DegradePolicy,
-    /// Scheduling substrate for the scavenge phases (barrier pipeline or
-    /// work packets).
-    pub scheduler: SchedulerKind,
-    /// First machine core this scavenger's workers pin to (multi-tenant
-    /// affinity; see [`crate::GcConfig::core_base`]).
-    pub core_base: usize,
-}
-
-impl MinorConfig {
-    /// Everything on (the SVAGC-style scavenger).
-    pub fn svagc(gc_threads: usize) -> MinorConfig {
-        MinorConfig {
-            gc_threads,
-            use_swapva: true,
-            aggregation: Some(32),
-            pmd_cache: true,
-            retry: RetryPolicy::default(),
-            deadline_cycles: None,
-            degrade: DegradePolicy::off(),
-            scheduler: SchedulerKind::Barrier,
-            core_base: 0,
-        }
-    }
-
-    /// memmove-only baseline.
-    pub fn memmove(gc_threads: usize) -> MinorConfig {
-        MinorConfig {
-            use_swapva: false,
-            aggregation: None,
-            ..MinorConfig::svagc(gc_threads)
-        }
-    }
-
-    /// Select the scheduling substrate.
-    pub fn with_scheduler(mut self, kind: SchedulerKind) -> MinorConfig {
-        self.scheduler = kind;
-        self
-    }
-
-    /// Set the core-affinity base.
-    pub fn with_core_base(mut self, base: usize) -> MinorConfig {
-        self.core_base = base;
-        self
-    }
-}
 
 /// Statistics of one scavenge.
 #[derive(Debug, Clone, Copy, Default)]
@@ -143,7 +80,7 @@ struct Promo {
 #[derive(Debug)]
 pub struct MinorGc {
     /// Active configuration.
-    pub cfg: MinorConfig,
+    pub cfg: GcConfig,
     /// Per-scavenge log.
     pub log: Vec<MinorStats>,
     /// Degraded-mode circuit breaker carried across scavenges.
@@ -176,10 +113,20 @@ impl Transactional for MinorGc {
 }
 
 impl MinorGc {
-    /// A scavenger with the given configuration.
+    /// A scavenger with the given configuration: the same [`GcConfig`]
+    /// the full collector takes, shaped by the same degraded-mode ladder
+    /// ([`DegradeController::apply`]). The scavenger does not read:
+    ///
+    /// - `overlap_opt` — eden and old space are disjoint, so Algorithm 2
+    ///   never applies to a promotion (Table I);
+    /// - `pinned_compaction` — promotion always issues one global flush,
+    ///   then local-only flushes (Algorithm 4);
+    /// - `work_stealing` and `compact_threads` — scavenger workers always
+    ///   balance greedily across `gc_threads`;
+    /// - `verify_phases` — a scavenge runs no post-phase verifier.
     ///
     /// ```
-    /// use svagc_core::{MinorConfig, MinorGc};
+    /// use svagc_core::{GcConfig, MinorGc};
     /// use svagc_heap::{GenHeap, ObjShape, RootSet};
     /// use svagc_kernel::{CoreId, Kernel};
     /// use svagc_metrics::MachineConfig;
@@ -193,13 +140,13 @@ impl MinorGc {
     /// roots.push(live);
     /// gh.alloc_young(&mut k, CoreId(0), ObjShape::data(32)).unwrap(); // garbage
     ///
-    /// let mut minor = MinorGc::new(MinorConfig::svagc(2));
+    /// let mut minor = MinorGc::new(GcConfig::svagc(2));
     /// let stats = minor.collect(&mut k, &mut gh, &mut roots).unwrap();
     /// assert_eq!(stats.promoted_objects, 1);
     /// assert_eq!(stats.dead_young, 1);
     /// assert!(gh.in_old(roots.iter_live().next().unwrap().0));
     /// ```
-    pub fn new(cfg: MinorConfig) -> MinorGc {
+    pub fn new(cfg: GcConfig) -> MinorGc {
         MinorGc {
             cfg,
             log: Vec::new(),
@@ -222,7 +169,7 @@ impl MinorGc {
     ) -> Result<MinorStats, GcError> {
         let user_cfg = self.cfg;
         let attempt = |gc: &mut Self, kernel: &mut Kernel, gh: &mut GenHeap, roots: &mut RootSet| {
-            let effective = gc.degrade.apply_minor(&user_cfg);
+            let effective = gc.degrade.apply(&user_cfg);
             gc.cfg = effective;
             // Scavenger workers always balance greedily.
             let cores = kernel.cores();

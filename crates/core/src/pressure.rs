@@ -17,6 +17,10 @@
 //!   denial ladder:   minor GC ──► full GC ──► memmove-only degrade ──► OOM
 //! ```
 //!
+//! The minor-GC rungs call [`crate::Collector::collect_minor`]; no
+//! collector the workload driver builds overrides it, so in driver runs
+//! they run a full collection.
+//!
 //! The terminal rung is a *tenant-local* [`crate::GcError::OutOfMemory`]
 //! — never a panic, never another tenant's frames. Signals are
 //! edge-triggered (one remedy per rising edge, re-armed when pressure

@@ -2,7 +2,7 @@
 //! exactly the live young graph, SwapVA promotion is functionally
 //! identical to memmove promotion, and minor + full collections compose.
 
-use svagc_core::{GcConfig, Lisp2Collector, MinorConfig, MinorGc};
+use svagc_core::{GcConfig, Lisp2Collector, MinorGc};
 use svagc_core::GcError;
 use svagc_heap::{GenHeap, HeapError, ObjRef, ObjShape, RootSet};
 use svagc_kernel::{CoreId, Kernel};
@@ -62,7 +62,7 @@ fn check_stamped(k: &mut Kernel, gh: &GenHeap, obj: ObjRef, shape: ObjShape, see
 
 #[test]
 fn scavenge_promotes_live_and_drops_dead() {
-    for cfg in [MinorConfig::svagc(4), MinorConfig::memmove(4)] {
+    for cfg in [GcConfig::svagc(4), GcConfig::lisp2_memmove(4)] {
         let (mut k, mut gh, mut roots) = setup(32, 4);
         let shape = ObjShape::data(64);
         let mut kept = Vec::new();
@@ -98,7 +98,7 @@ fn large_survivors_promote_by_pte_swap() {
         }
     }
     let copied_before = k.perf.bytes_copied;
-    let mut gc = MinorGc::new(MinorConfig::svagc(4));
+    let mut gc = MinorGc::new(GcConfig::svagc(4));
     let stats = gc.collect(&mut k, &mut gh, &mut roots).unwrap();
     assert_eq!(stats.promoted_objects, 8);
     assert_eq!(stats.swapped_objects, 8, "all large: all swapped");
@@ -121,7 +121,7 @@ fn remembered_set_finds_old_to_young_edges() {
     // Plus a genuinely dead young object.
     alloc_young_stamped(&mut k, &mut gh, ObjShape::data(16), 9999);
 
-    let mut gc = MinorGc::new(MinorConfig::svagc(2));
+    let mut gc = MinorGc::new(GcConfig::svagc(2));
     let stats = gc.collect(&mut k, &mut gh, &mut roots).unwrap();
     assert_eq!(stats.promoted_objects, 1, "card scan kept the young target");
     assert_eq!(stats.dead_young, 1);
@@ -145,7 +145,7 @@ fn young_graph_with_internal_refs_survives() {
     gh.write_ref_barrier(&mut k, CORE, a, 0, b).unwrap();
     gh.write_ref_barrier(&mut k, CORE, b, 0, c).unwrap();
     let rid = roots.push(a);
-    let mut gc = MinorGc::new(MinorConfig::svagc(2));
+    let mut gc = MinorGc::new(GcConfig::svagc(2));
     let stats = gc.collect(&mut k, &mut gh, &mut roots).unwrap();
     assert_eq!(stats.promoted_objects, 3);
     // Walk the promoted chain.
@@ -161,7 +161,7 @@ fn young_graph_with_internal_refs_survives() {
 
 #[test]
 fn swapva_and_memmove_promotion_identical_layouts() {
-    let run = |cfg: MinorConfig| {
+    let run = |cfg: GcConfig| {
         let (mut k, mut gh, mut roots) = setup(64, 16);
         for i in 0..40u64 {
             let shape = if i % 3 == 0 {
@@ -178,7 +178,7 @@ fn swapva_and_memmove_promotion_identical_layouts() {
         gc.collect(&mut k, &mut gh, &mut roots).unwrap();
         roots.iter_live().map(|r| r.0.get()).collect::<Vec<_>>()
     };
-    assert_eq!(run(MinorConfig::svagc(4)), run(MinorConfig::memmove(4)));
+    assert_eq!(run(GcConfig::svagc(4)), run(GcConfig::lisp2_memmove(4)));
 }
 
 #[test]
@@ -191,7 +191,7 @@ fn promotion_failure_aborts_cleanly_before_mutating() {
         roots.push(obj);
     }
     let old_count = gh.old.object_count();
-    let mut gc = MinorGc::new(MinorConfig::svagc(2));
+    let mut gc = MinorGc::new(GcConfig::svagc(2));
     match gc.collect(&mut k, &mut gh, &mut roots) {
         Err(GcError::Heap(HeapError::NeedGc { .. })) => {}
         other => panic!("expected promotion failure, got {other:?}"),
@@ -211,7 +211,7 @@ fn minor_then_full_gc_compose() {
     let shape = ObjShape::data_bytes(64 << 10);
     let mut gen0 = Vec::new();
     // Two scavenge generations of survivors...
-    let mut minor = MinorGc::new(MinorConfig::svagc(4));
+    let mut minor = MinorGc::new(GcConfig::svagc(4));
     for round in 0..2u64 {
         for i in 0..40u64 {
             let obj = alloc_young_stamped(&mut k, &mut gh, shape, round * 1000 + i);
@@ -250,7 +250,7 @@ fn minor_then_full_gc_compose() {
 fn swapva_scavenge_beats_memmove_on_large_young_objects() {
     // The Table I row-2 claim, quantified: a nursery full of large
     // objects scavenges much faster with SwapVA+aggregation.
-    let run = |cfg: MinorConfig| {
+    let run = |cfg: GcConfig| {
         let (mut k, mut gh, mut roots) = setup(128, 32);
         let big = ObjShape::data_bytes(16 * PAGE_SIZE);
         for i in 0..200u64 {
@@ -263,8 +263,8 @@ fn swapva_scavenge_beats_memmove_on_large_young_objects() {
         gc.collect(&mut k, &mut gh, &mut roots).unwrap();
         gc.total_pause()
     };
-    let swap = run(MinorConfig::svagc(4));
-    let mm = run(MinorConfig::memmove(4));
+    let swap = run(GcConfig::svagc(4));
+    let mm = run(GcConfig::lisp2_memmove(4));
     assert!(
         swap.get() * 2 < mm.get(),
         "SwapVA scavenge {swap} should be <50% of memmove {mm}"
@@ -310,7 +310,7 @@ fn full_collect_with_live_nursery_preserves_cross_space_refs() {
     check_stamped(&mut k, &gh, y2, shape, 444);
     assert!(gh.cards.is_dirty(moved_old_live.ref_field_va(0)));
     // A subsequent scavenge still finds young2 through the rebuilt cards.
-    let mut minor = MinorGc::new(MinorConfig::svagc(2));
+    let mut minor = MinorGc::new(GcConfig::svagc(2));
     let ms = minor.collect(&mut k, &mut gh, &mut roots).unwrap();
     assert_eq!(ms.promoted_objects, 2, "young holder + young2");
     let (y2_after, _) = gh.old.read_ref(&mut k, CORE, moved_old_live, 0).unwrap();
@@ -331,7 +331,7 @@ fn promotion_failure_then_full_gc_then_retry_succeeds() {
         let obj = alloc_young_stamped(&mut k, &mut gh, shape, i * 7);
         kept.push((roots.push(obj), i * 7));
     }
-    let mut minor = MinorGc::new(MinorConfig::svagc(2));
+    let mut minor = MinorGc::new(GcConfig::svagc(2));
     assert!(matches!(
         minor.collect(&mut k, &mut gh, &mut roots),
         Err(GcError::Heap(HeapError::NeedGc { .. }))

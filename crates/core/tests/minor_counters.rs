@@ -9,7 +9,7 @@
 //!    number of swap-attempted survivors, even when both sites see
 //!    fallbacks within one scavenge.
 
-use svagc_core::{MinorConfig, MinorGc};
+use svagc_core::{GcConfig, MinorGc};
 use svagc_heap::{GenHeap, ObjShape, RootSet, CARD_BYTES};
 use svagc_kernel::{CoreId, FaultConfig, FaultPlan, Kernel};
 use svagc_metrics::MachineConfig;
@@ -46,7 +46,7 @@ fn object_spanning_two_dirty_cards_is_scanned_once() {
     );
     assert_eq!(gh.cards.dirty_count(), 2);
 
-    let mut gc = MinorGc::new(MinorConfig::svagc(2));
+    let mut gc = MinorGc::new(GcConfig::svagc(2));
     let stats = gc.collect(&mut k, &mut gh, &mut roots).unwrap();
     assert_eq!(stats.scanned_cards, 2);
     assert_eq!(
@@ -80,7 +80,7 @@ fn dedup_only_skips_already_scanned_prefixes() {
         gh.write_ref_barrier(&mut k, CORE, h, 0, y).unwrap();
     }
     assert_eq!(gh.cards.dirty_count(), 2);
-    let mut gc = MinorGc::new(MinorConfig::svagc(2));
+    let mut gc = MinorGc::new(GcConfig::svagc(2));
     let stats = gc.collect(&mut k, &mut gh, &mut roots).unwrap();
     assert_eq!(stats.promoted_objects, 2);
     // Each dirty card's scan starts from the object at or before the card,
@@ -110,7 +110,7 @@ fn promotion_rebooking_pins_swapped_plus_fallbacks() {
             live += 1;
         }
     }
-    let mut cfg = MinorConfig::svagc(4);
+    let mut cfg = GcConfig::svagc(4);
     cfg.aggregation = Some(4); // live = 21 -> 5 full flushes + a final batch of 1
     let mut gc = MinorGc::new(cfg);
     let stats = gc.collect(&mut k, &mut gh, &mut roots).unwrap();
@@ -141,7 +141,7 @@ fn fault_free_scavenge_books_every_large_survivor_as_swapped() {
             roots.push(obj);
         }
     }
-    let mut cfg = MinorConfig::svagc(4);
+    let mut cfg = GcConfig::svagc(4);
     cfg.aggregation = Some(4);
     let mut gc = MinorGc::new(cfg);
     let stats = gc.collect(&mut k, &mut gh, &mut roots).unwrap();

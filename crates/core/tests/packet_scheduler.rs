@@ -169,7 +169,7 @@ fn packets_overlap_beats_barrier_on_skewed_work() {
 
 #[test]
 fn minor_packets_and_barrier_promote_identically() {
-    use svagc_core::{MinorConfig, MinorGc};
+    use svagc_core::{GcConfig, MinorGc};
     use svagc_heap::GenHeap;
     let run = |kind: SchedulerKind| {
         let mut k = Kernel::with_bytes(MachineConfig::i5_7600(), 64 << 20);
@@ -196,7 +196,7 @@ fn minor_packets_and_barrier_promote_identically() {
                 roots.push(big);
             }
         }
-        let mut minor = MinorGc::new(MinorConfig::svagc(4).with_scheduler(kind));
+        let mut minor = MinorGc::new(GcConfig::svagc(4).with_scheduler(kind));
         let stats = minor.collect(&mut k, &mut gh, &mut roots).unwrap();
         let layout: Vec<u64> = roots.iter_live().map(|r| r.0.get()).collect();
         (stats, layout, gh.old.top().get())

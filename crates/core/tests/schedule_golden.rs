@@ -10,8 +10,8 @@
 //! collector places work shows up here, not only in aggregate pauses.
 
 use svagc_core::{
-    Collector, ConcurrentCollector, GcConfig, GcCycleStats, Lisp2Collector, MinorConfig, MinorGc,
-    MinorStats, SchedulerKind,
+    Collector, ConcurrentCollector, GcConfig, GcCycleStats, Lisp2Collector, MinorGc, MinorStats,
+    SchedulerKind,
 };
 use svagc_heap::{GenHeap, Heap, HeapConfig, HeapVerifier, ObjRef, ObjShape, RootSet};
 use svagc_kernel::{CoreId, FaultConfig, FaultPlan, Kernel};
@@ -203,7 +203,7 @@ fn build_young(
 }
 
 /// Two scavenges over old holders spread across several cards.
-fn run_minor(cfg: MinorConfig, faulty: bool) -> Digest {
+fn run_minor(cfg: GcConfig, faulty: bool) -> Digest {
     let mut k = kernel(64 << 20, faulty.then_some(FAULT_SEED));
     let mut gh = GenHeap::new(&mut k, Asid(1), 32 << 20, 8 << 20, 10).unwrap();
     let mut roots = RootSet::new();
@@ -257,9 +257,9 @@ fn cases() -> Vec<(String, Digest)> {
         let cfg = GcConfig::svagc(4).with_scheduler(sched);
         out.push((format!("{s}/premark4"), run_full(Full::Premark(cfg), false)));
         out.push((format!("{s}/faulty4"), run_full(Full::Stw(cfg), true)));
-        let minor: [(&str, MinorConfig); 2] = [
-            ("minor_svagc4", MinorConfig::svagc(4)),
-            ("minor_memmove4", MinorConfig::memmove(4)),
+        let minor: [(&str, GcConfig); 2] = [
+            ("minor_svagc4", GcConfig::svagc(4)),
+            ("minor_memmove4", GcConfig::lisp2_memmove(4)),
         ];
         for (name, cfg) in minor {
             out.push((
@@ -269,7 +269,7 @@ fn cases() -> Vec<(String, Digest)> {
         }
         out.push((
             format!("{s}/minor_faulty4"),
-            run_minor(MinorConfig::svagc(4).with_scheduler(sched), true),
+            run_minor(GcConfig::svagc(4).with_scheduler(sched), true),
         ));
     }
     out

@@ -8,9 +8,7 @@
 //! the heap's content hash. With phase verification on, every cycle of
 //! the full collector also passes the exact mark oracle.
 
-use svagc_core::{
-    Collector, ConcurrentCollector, GcConfig, GcCycleStats, Lisp2Collector, MinorConfig, MinorGc,
-};
+use svagc_core::{Collector, ConcurrentCollector, GcConfig, GcCycleStats, Lisp2Collector, MinorGc};
 use svagc_heap::{
     GenHeap, Heap, HeapConfig, HeapStats, HeapVerifier, ObjRef, ObjShape, RootId, RootSet,
 };
@@ -199,7 +197,7 @@ fn gen_world(i: usize) -> World<GenHeap> {
 
 #[test]
 fn minor_scratch_is_invisible_across_heaps() {
-    let mut shared = MinorGc::new(MinorConfig::svagc(2));
+    let mut shared = MinorGc::new(GcConfig::svagc(2));
     let mut worlds = [gen_world(0), gen_world(1)];
     let mut twins = [gen_world(0), gen_world(1)];
     assert_ne!(worlds[0].h.eden_range(), worlds[1].h.eden_range());
@@ -209,7 +207,7 @@ fn minor_scratch_is_invisible_across_heaps() {
             w.churn(false);
             t.churn(false);
             let s = shared.collect(&mut w.k, &mut w.h, &mut w.roots).unwrap();
-            let fresh = MinorGc::new(MinorConfig::svagc(2))
+            let fresh = MinorGc::new(GcConfig::svagc(2))
                 .collect(&mut t.k, &mut t.h, &mut t.roots)
                 .unwrap();
             let at = format!("minor: round {round}, heap {i}");

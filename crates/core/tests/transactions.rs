@@ -15,8 +15,9 @@
 //!    **recovers** one level per probation back to Normal.
 //! 4. Watchdog deadline expiry rides the exact same abort path.
 
-use svagc_core::{DegradePolicy, DegradedMode, GcConfig, GcError, Lisp2Collector, MinorConfig,
-                MinorGc, RetryPolicy};
+use svagc_core::{
+    DegradePolicy, DegradedMode, GcConfig, GcError, Lisp2Collector, MinorGc, RetryPolicy,
+};
 use svagc_heap::{GenHeap, Heap, HeapConfig, HeapVerifier, ObjRef, ObjShape, RootSet};
 use svagc_kernel::{CoreId, FaultConfig, FaultPlan, Kernel};
 use svagc_metrics::{MachineConfig, SimRng, TraceKind};
@@ -246,7 +247,7 @@ fn minor_scavenge_aborts_and_retries_degraded() {
     // Reference scavenge, fault-free.
     let mut rk = Kernel::with_bytes(MachineConfig::i5_7600(), 96 << 20);
     let (mut rgh, mut rroots) = build(&mut rk);
-    MinorGc::new(MinorConfig::svagc(4))
+    MinorGc::new(GcConfig::svagc(4))
         .collect(&mut rk, &mut rgh, &mut rroots)
         .unwrap();
     let reference_hash = HeapVerifier::new().content_hash(&rk, &mut rgh.old);
@@ -255,10 +256,10 @@ fn minor_scavenge_aborts_and_retries_degraded() {
     let mut k = Kernel::with_bytes(MachineConfig::i5_7600(), 96 << 20);
     let (mut gh, mut roots) = build(&mut k);
     k.set_fault_plan(Some(FaultPlan::new(permanent_only(1.0, 21))));
-    let mut minor = MinorGc::new(MinorConfig {
+    let mut minor = MinorGc::new(GcConfig {
         retry: strict_retry(),
         degrade: DegradePolicy::standard(),
-        ..MinorConfig::svagc(4)
+        ..GcConfig::svagc(4)
     });
     let stats = minor.collect(&mut k, &mut gh, &mut roots).unwrap();
     assert!(stats.aborts >= 1);
@@ -290,9 +291,9 @@ fn minor_need_gc_propagates_through_the_transaction() {
         roots.push(obj);
     }
     let young_before = gh.young_objects().len();
-    let mut minor = MinorGc::new(MinorConfig {
+    let mut minor = MinorGc::new(GcConfig {
         degrade: DegradePolicy::standard(),
-        ..MinorConfig::svagc(2)
+        ..GcConfig::svagc(2)
     });
     let err = minor.collect(&mut k, &mut gh, &mut roots).unwrap_err();
     assert!(
@@ -329,10 +330,10 @@ fn minor_aborted_attempts_are_part_of_the_pause() {
     // The committed attempt alone: the degraded (memmove-only) scavenge.
     let mut rk = Kernel::with_bytes(MachineConfig::i5_7600(), 96 << 20);
     let (mut rgh, mut rroots) = build(&mut rk);
-    let degraded = MinorConfig {
+    let degraded = GcConfig {
         use_swapva: false,
         aggregation: None,
-        ..MinorConfig::svagc(4)
+        ..GcConfig::svagc(4)
     };
     let committed = MinorGc::new(degraded)
         .collect(&mut rk, &mut rgh, &mut rroots)
@@ -343,10 +344,10 @@ fn minor_aborted_attempts_are_part_of_the_pause() {
     k.set_tracing(true);
     let (mut gh, mut roots) = build(&mut k);
     k.set_fault_plan(Some(FaultPlan::new(permanent_only(1.0, 21))));
-    let mut minor = MinorGc::new(MinorConfig {
+    let mut minor = MinorGc::new(GcConfig {
         retry: strict_retry(),
         degrade: DegradePolicy::standard(),
-        ..MinorConfig::svagc(4)
+        ..GcConfig::svagc(4)
     });
     let stats = minor.collect(&mut k, &mut gh, &mut roots).unwrap();
     assert_eq!(stats.aborts, 1, "the first attempt aborted");

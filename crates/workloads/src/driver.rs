@@ -30,8 +30,6 @@ pub enum CollectorKind {
     ParallelGc,
     /// Shenandoah-like baseline.
     Shenandoah,
-    /// Any explicit configuration (ablations).
-    Custom(GcConfig),
 }
 
 impl CollectorKind {
@@ -62,34 +60,24 @@ impl CollectorKind {
         }
     }
 
-    /// The resolved LISP2 configuration of this kind.
+    /// The resolved LISP2 configuration of this kind: its preset, with
+    /// every run-level knob of `run` assigned on top.
     fn lisp2_config(&self, run: &RunConfig) -> GcConfig {
         let threads = run.gc_threads;
-        let cfg = match self {
+        let preset = match self {
             CollectorKind::Svagc => GcConfig::svagc(threads),
             CollectorKind::SvagcMemmove => GcConfig::lisp2_memmove(threads),
             CollectorKind::ParallelGc => parallelgc::config(threads),
             CollectorKind::Shenandoah => shenandoah::config(threads),
-            CollectorKind::Custom(cfg) => GcConfig { gc_threads: threads, ..*cfg },
         };
-        // The run-level knobs win only when explicitly set; an ablation's
-        // Custom config keeps its own choices. (The named kinds start
-        // from the defaults, so for them the run-level value always wins.)
-        let cfg = GcConfig {
-            degrade: if run.degrade.enabled { run.degrade } else { cfg.degrade },
-            deadline_cycles: run.deadline_cycles.or(cfg.deadline_cycles),
-            scheduler: if run.scheduler == SchedulerKind::Barrier {
-                cfg.scheduler
-            } else {
-                run.scheduler
-            },
-            core_base: if run.core_base == 0 { cfg.core_base } else { run.core_base },
-            verify_phases: run.verify_phases || cfg.verify_phases,
-            ..cfg
-        };
-        match run.retry {
-            Some(r) => cfg.with_retry_policy(r),
-            None => cfg,
+        GcConfig {
+            verify_phases: run.verify_phases,
+            deadline_cycles: run.deadline_cycles,
+            degrade: run.degrade,
+            scheduler: run.scheduler,
+            core_base: run.core_base,
+            retry: run.retry.unwrap_or(preset.retry),
+            ..preset
         }
     }
 
@@ -98,7 +86,6 @@ impl CollectorKind {
         match self {
             CollectorKind::Svagc | CollectorKind::SvagcMemmove => true,
             CollectorKind::ParallelGc | CollectorKind::Shenandoah => false,
-            CollectorKind::Custom(_) => true,
         }
     }
 
@@ -109,7 +96,6 @@ impl CollectorKind {
             CollectorKind::SvagcMemmove => "SVAGC(-SwapVA)",
             CollectorKind::ParallelGc => "ParallelGC",
             CollectorKind::Shenandoah => "Shenandoah",
-            CollectorKind::Custom(_) => "Custom",
         }
     }
 
@@ -119,7 +105,6 @@ impl CollectorKind {
         match self {
             CollectorKind::Svagc if run.concurrent => "SVAGC-concurrent",
             CollectorKind::SvagcMemmove if run.concurrent => "SVAGC(-SwapVA)-concurrent",
-            CollectorKind::Custom(_) if run.concurrent => "Custom-concurrent",
             _ => self.label(),
         }
     }
@@ -204,10 +189,6 @@ pub struct RunConfig {
     /// Fleet frame pool this JVM draws its frames from (`None` = private
     /// frames, the single-JVM default — behavior unchanged).
     pub frame_pool: Option<FramePool>,
-    /// `(quota, headroom)` to self-register with the pool when it has no
-    /// registration for this ASID yet. Fleet drivers pre-register tenants
-    /// deterministically; this is for standalone pooled runs.
-    pub tenant_quota: Option<(u32, u32)>,
     /// Arm the pressure-escalation ladder (implies on-demand heap commit
     /// so GC can actually return frames to the pool).
     pub pressure: bool,
@@ -275,7 +256,6 @@ impl RunConfig {
             scheduler: SchedulerKind::Barrier,
             core_base: 0,
             frame_pool: None,
-            tenant_quota: None,
             pressure: false,
             wal_namespace: 0,
             concurrent: false,
@@ -318,22 +298,9 @@ impl RunConfig {
         self
     }
 
-    /// Draw frames from a shared fleet pool (the tenant id is this run's
-    /// ASID).
-    pub fn with_frame_pool(mut self, pool: FramePool) -> RunConfig {
-        self.frame_pool = Some(pool);
-        self
-    }
-
     /// Arm the pressure-escalation ladder.
     pub fn with_pressure(mut self, on: bool) -> RunConfig {
         self.pressure = on;
-        self
-    }
-
-    /// Set the WAL epoch namespace.
-    pub fn with_wal_namespace(mut self, ns: u16) -> RunConfig {
-        self.wal_namespace = ns;
         self
     }
 
@@ -383,12 +350,6 @@ impl RunConfig {
     /// Enable the stale-translation oracle.
     pub fn with_tlb_oracle(mut self, on: bool) -> RunConfig {
         self.tlb_oracle = on;
-        self
-    }
-
-    /// Arm the write-ahead journal (crash plans arm it implicitly).
-    pub fn with_wal(mut self, on: bool) -> RunConfig {
-        self.wal = on;
         self
     }
 
@@ -826,24 +787,11 @@ fn run_inner(
         kernel.set_crash_plans(cfg.crash_plans.clone());
     }
     if let Some(pool) = &cfg.frame_pool {
-        // Fleet drivers register tenants deterministically up front (the
-        // pool's namespace bases follow registration order); a standalone
-        // pooled run self-registers from its own quota.
-        let tenant = TenantId(cfg.asid);
-        let lease = match pool.lease(tenant) {
-            Ok(l) => l,
-            Err(_) => {
-                let (quota, headroom) = cfg.tenant_quota.ok_or_else(|| {
-                    other_failure(format!(
-                        "frame pool has no registration for tenant {} and the run \
-                         config carries no tenant_quota to self-register",
-                        cfg.asid
-                    ))
-                })?;
-                pool.register(tenant, quota, headroom)
-                    .map_err(|e| other_failure(e.to_string()))?
-            }
-        };
+        // Fleet drivers register every tenant up front (the pool's
+        // namespace bases follow registration order).
+        let lease = pool
+            .lease(TenantId(cfg.asid))
+            .map_err(|e| other_failure(e.to_string()))?;
         kernel.vmem.frames.attach_lease(lease);
     }
 
@@ -1054,4 +1002,55 @@ fn run_inner(
 
 fn other_failure(message: String) -> Box<RunFailure> {
     Box::new(RunFailure { kind: FailureKind::Other, message })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_kind_carries_every_run_level_knob() {
+        let retry = RetryPolicy {
+            max_retries: 2,
+            fallback_budget: Some(0),
+            ..RetryPolicy::default()
+        };
+        for kind in [
+            CollectorKind::Svagc,
+            CollectorKind::SvagcMemmove,
+            CollectorKind::ParallelGc,
+            CollectorKind::Shenandoah,
+        ] {
+            let mut run = RunConfig::new(kind)
+                .with_verify_phases(true)
+                .with_deadline(Some(1 << 30))
+                .with_degrade(DegradePolicy::standard())
+                .with_scheduler(SchedulerKind::Packets)
+                .with_core_base(5);
+            run.gc_threads = 3;
+            run.retry = Some(retry);
+            let cfg = kind.lisp2_config(&run);
+            let label = kind.label();
+            assert_eq!(cfg.gc_threads, 3, "{label}");
+            assert!(cfg.verify_phases, "{label}");
+            assert_eq!(cfg.deadline_cycles, Some(1 << 30), "{label}");
+            assert_eq!(cfg.degrade, DegradePolicy::standard(), "{label}");
+            assert_eq!(cfg.scheduler, SchedulerKind::Packets, "{label}");
+            assert_eq!(cfg.core_base, 5, "{label}");
+            assert_eq!(cfg.retry, retry, "{label}");
+            // Without an override the preset's retry policy stays.
+            run.retry = None;
+            assert_eq!(kind.lisp2_config(&run).retry, RetryPolicy::default(), "{label}");
+        }
+    }
+
+    #[test]
+    fn unregistered_pooled_tenant_fails_with_the_pool_error() {
+        let mut w = crate::suite::by_name("Bisort").unwrap();
+        let mut cfg = RunConfig::new(CollectorKind::Svagc);
+        cfg.frame_pool = Some(FramePool::new(1 << 16));
+        let err = run_classified(w.as_mut(), &cfg).unwrap_err();
+        assert_eq!(err.kind, FailureKind::Other);
+        assert_eq!(err.message, VmError::NoSuchTenant(cfg.asid).to_string());
+    }
 }

@@ -87,7 +87,8 @@ impl<'a> JvmEnv<'a> {
     /// With the [`JvmEnv::pressure`] escalator armed, denials instead walk
     /// the pressure ladder (minor GC → full GC → degrade → a tenant-local
     /// [`GcError::OutOfMemory`]) and successes feed the background pressure
-    /// signal.
+    /// signal. The minor-GC rung runs a full collection unless the
+    /// collector overrides [`svagc_core::Collector::collect_minor`].
     pub fn alloc(&mut self, shape: ObjShape) -> Result<ObjRef, GcError> {
         if self.pressure.enabled() {
             return self.alloc_pressured(shape);
@@ -164,7 +165,8 @@ impl<'a> JvmEnv<'a> {
     }
 
     /// Run the remedy collection (`minor` falls back to a full cycle for
-    /// collectors without a young generation), then return any committed
+    /// collectors without a young generation — every collector
+    /// [`crate::CollectorKind::build`] returns), then return any committed
     /// pages above the compacted top to the frame pool.
     fn pressure_collect(&mut self, minor: bool) -> Result<(), GcError> {
         let minor_result = if minor {

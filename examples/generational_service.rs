@@ -7,7 +7,7 @@
 //! cargo run --release --example generational_service
 //! ```
 
-use svagc::gc::{full_collect_generational, GcConfig, GcError, Lisp2Collector, MinorConfig, MinorGc};
+use svagc::gc::{full_collect_generational, GcConfig, GcError, Lisp2Collector, MinorGc};
 use svagc::heap::{GenHeap, HeapError, ObjRef, ObjShape, RootSet};
 use svagc::kernel::{CoreId, Kernel};
 use svagc::metrics::MachineConfig;
@@ -19,7 +19,7 @@ fn main() {
     let mut kernel = Kernel::with_bytes(MachineConfig::xeon_gold_6130(), 160 << 20);
     let mut gh = GenHeap::new(&mut kernel, Asid(1), 24 << 20, 8 << 20, 10).unwrap();
     let mut roots = RootSet::new();
-    let mut minor = MinorGc::new(MinorConfig::svagc(8));
+    let mut minor = MinorGc::new(GcConfig::svagc(8));
     let mut full = Lisp2Collector::new(GcConfig::svagc(8));
 
     // Long-lived "cache": slots that hold promoted response buffers.

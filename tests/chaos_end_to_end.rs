@@ -71,15 +71,14 @@ fn suite_cross_section_survives_one_percent_faults() {
 /// batches split and resume without corrupting the heap.
 #[test]
 fn aggregated_collector_splits_batches_under_faults() {
-    // SOR.large's 64 KB objects (17 pages) pack ~4 requests under the
-    // batch page budget; Sigverify's 1 MB objects would flush one by one.
+    // SOR.large's 64 KB objects (17 pages) pack 4 requests under the
+    // 80-page batch budget, well below the default cap of 32 requests;
+    // Sigverify's 1 MB objects would flush one by one.
     let run_kind = |fault_rate: f64| {
         let mut w = suite::by_name("SOR.large").unwrap();
-        let mut cfg = RunConfig::new(CollectorKind::Custom(
-            svagc::gc::GcConfig::svagc(8).with_aggregation(Some(16)),
-        ))
-        .with_faults(fault_rate, CHAOS_SEED)
-        .with_verify_phases(true);
+        let mut cfg = RunConfig::new(CollectorKind::Svagc)
+            .with_faults(fault_rate, CHAOS_SEED)
+            .with_verify_phases(true);
         cfg.gc_threads = 8;
         run(w.as_mut(), &cfg).unwrap()
     };
@@ -126,16 +125,15 @@ fn heavy_fault_rates_stay_bit_identical() {
 fn permanent_only_faults_abort_rollback_and_degrade() {
     let run_kind = |fault_rate: f64| {
         let mut w = suite::by_name("LRUCache").unwrap();
-        let gc_cfg = svagc::gc::GcConfig::svagc(8)
-            .with_retry_policy(svagc::gc::RetryPolicy {
-                max_retries: 2,
-                fallback_budget: Some(0),
-                ..svagc::gc::RetryPolicy::default()
-            })
-            .with_degrade(svagc::gc::DegradePolicy::standard());
-        let mut cfg = RunConfig::new(CollectorKind::Custom(gc_cfg))
+        let mut cfg = RunConfig::new(CollectorKind::Svagc)
             .with_faults(fault_rate, CHAOS_SEED)
-            .with_verify_phases(true);
+            .with_verify_phases(true)
+            .with_degrade(svagc::gc::DegradePolicy::standard());
+        cfg.retry = Some(svagc::gc::RetryPolicy {
+            max_retries: 2,
+            fallback_budget: Some(0),
+            ..svagc::gc::RetryPolicy::default()
+        });
         cfg.fault_permanent_only = true;
         cfg.gc_threads = 8;
         run(w.as_mut(), &cfg).unwrap_or_else(|e| panic!("p={fault_rate}: {e}"))
