@@ -58,14 +58,14 @@ fn usage() -> ! {
   --device-offline-after <n>  kill the far device for good after n
                       requests: writebacks degrade the run to DRAM-only
                       mode; a lost fetch exits 16 (device failed)
-  --concurrent        SATB concurrent marking: tracing overlaps mutator
-                      execution (charged as interference, not pause);
-                      only initial mark, the SATB-buffer drain, and
-                      compaction stay in the pause. The compacted heap is
-                      bit-identical to the STW run's. svagc | memmove
-                      wrap in the concurrent collector; the baselines
-                      ignore the flag (shenandoah always marks
-                      concurrently, parallelgc never does)
+  --concurrent        SATB concurrent marking: the trace runs at the GC
+                      trigger, charged as mutator interference rather
+                      than pause; only initial mark, the SATB-buffer
+                      drain, and compaction stay in the pause. The
+                      compacted heap is bit-identical to the STW run's.
+                      svagc | memmove wrap in the concurrent collector;
+                      the baselines ignore the flag (shenandoah always
+                      marks concurrently, parallelgc never does)
   --scheduler         GC scheduling substrate: barrier (default; each
                       phase joins at a global barrier) or packets (work
                       decomposed into typed packets in dependency-ordered
@@ -631,9 +631,7 @@ fn main() {
                          pressure remedies {} | heap hash {:#018x}",
                         r.frames_in_use,
                         r.throughput(),
-                        r.pressure.denial_remedies
-                            + r.pressure.signal_minor_gcs
-                            + r.pressure.signal_full_gcs,
+                        r.pressure.denial_remedies + r.pressure.signal_gcs,
                         r.heap_hash
                     ),
                     TenantOutcome::Quarantined { kind, message, attempts, frames_reclaimed } => {

@@ -369,8 +369,11 @@ pub fn fig14(rep: &mut Report) {
 pub fn fig15(rep: &mut Report) {
     let (memmove, swap) = suite_pair(1.2);
     let mut t = Table::new(["benchmark", "-SwapVA (steps/s)", "+SwapVA (steps/s)", "improvement"]);
+    let mut imps = Vec::new();
     for (m, s) in memmove.iter().zip(&swap) {
+        assert_eq!(m.name, s.name);
         let imp = 100.0 * (s.throughput / m.throughput - 1.0);
+        imps.push((m.name.as_str(), imp));
         t.row([
             m.name.clone(),
             format!("{:.1}", m.throughput),
@@ -383,6 +386,24 @@ pub fn fig15(rep: &mut Report) {
     }
     rep.table(&t);
     rep.say("(paper: +15.2% CryptoAES ... +86.9% Sparse.large)");
+
+    let imp = |name: &str| imps.iter().find(|r| r.0 == name).unwrap().1;
+    // The benchmarks whose GC time SwapVA cuts most gain most throughput.
+    for name in ["ParallelSort", "SOR.large x10", "Sigverify"] {
+        let i = imp(name);
+        assert!(
+            i >= 50.0,
+            "Fig. 15 {name}: improvement {i}% must be at least 50%"
+        );
+    }
+    // CryptoAES's mutator barely touches memory; Bisort never swaps.
+    for name in ["CryptoAES", "Bisort"] {
+        let i = imp(name);
+        assert!(
+            i.abs() <= 1.0,
+            "Fig. 15 {name}: improvement {i}% must be within 1 point of 0"
+        );
+    }
 }
 
 /// Fig. 16: application throughput, SVAGC vs baselines at both factors.

@@ -23,9 +23,10 @@ pub trait Collector {
     fn log(&self) -> &GcLog;
 
     /// Run a collection cheaper than a full cycle, if the collector has
-    /// one (a young-generation/minor pass). The pressure ladder's first
-    /// rung calls this; `None` (the default) means "unsupported" and the
-    /// caller escalates to a full [`Collector::collect`] instead.
+    /// one (a young-generation/minor pass); `None` (the default) means
+    /// "unsupported". No collector the workload driver builds overrides
+    /// it, and the driver never calls it: its pressure ladder runs full
+    /// collections only.
     fn collect_minor(
         &mut self,
         kernel: &mut Kernel,

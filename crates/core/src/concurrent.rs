@@ -4,12 +4,13 @@
 //! inside the pause. This wrapper moves the trace off-pause:
 //!
 //! 1. **Initial mark** (short pause): snapshot the root set and seed the
-//!    mark bitmap.
-//! 2. **Concurrent mark**: trace the snapshot's reachability interleaved
-//!    with mutator execution in virtual time. Mutator ref overwrites go
-//!    through the SATB *deletion barrier* ([`Collector::write_barrier`]):
-//!    the old value is logged into a per-tenant [`SatbBuffer`] so the
-//!    mutator cannot hide a snapshot-reachable object from the trace.
+//!    mark bitmap ([`ConcurrentCollector::begin_mark`]).
+//! 2. **Concurrent mark**: trace the snapshot's reachability
+//!    ([`ConcurrentCollector::mark_step`]), charged off-pause. Mutator
+//!    ref overwrites go through the SATB *deletion barrier*
+//!    ([`Collector::write_barrier`]): the old value is logged into a
+//!    per-tenant [`SatbBuffer`] so the mutator cannot hide a
+//!    snapshot-reachable object from the trace.
 //! 3. **Final mark** (short pause): drain the SATB buffer (plus a root
 //!    re-scan and the allocation watermark), completing the snapshot's
 //!    marks.
@@ -21,24 +22,21 @@
 //!    object model doesn't have; SwapVA makes the evacuation pause cheap
 //!    enough (O(pages moved), no byte copies) that it stays STW.
 //!
-//! Two entry paths share this machinery:
-//!
-//! * **The driver path** ([`Collector::collect`] from the `Idle` state):
-//!   the whole cycle is modeled at trigger time — the trace runs against
-//!   the heap as it is *now*, so the mark set is exactly the STW
-//!   collector's and the final heap is bit-identical to an STW run. The
-//!   trace cost is charged off-pause (as mutator interference), only the
-//!   initial-mark and SATB-drain charges land in the pause. This is what
-//!   figure workloads measure.
-//! * **The incremental API** ([`ConcurrentCollector::begin_mark`] /
-//!   [`ConcurrentCollector::mark_step`]): true interleaved SATB marking
-//!   for tests and adversaries — the snapshot is real, mutator writes
-//!   race the trace, and the deletion barrier is load-bearing (disable it
-//!   and the lost-object bug reproduces deterministically). A
-//!   [`Collector::collect`] issued while a mark is in flight follows the
-//!   **abort-or-finish rule**: the mark is *finished* (drain in the
-//!   pause) and exactly one transactional cycle runs — never two
-//!   overlapping cycles.
+//! Every cycle runs these steps in this order, through the same final
+//! mark. A [`Collector::collect`] from idle — the driver's trigger — runs
+//! `begin_mark`, an unbounded `mark_step` and the final mark back to
+//! back. No mutator step runs in between, so the mark set is exactly the
+//! STW collector's and the compacted heap is bit-identical to an STW run;
+//! the trace cost is charged as mutator interference, and only the
+//! initial-mark and SATB-drain charges land in the pause. Barrier entries
+//! logged in the idle window before the snapshot are charged at the drain
+//! but not traced. Tests and adversaries instead interleave budgeted
+//! `mark_step`s with mutator writes: the snapshot is real, the writes
+//! race the trace, and the deletion barrier is load-bearing (disable it
+//! and the lost-object bug reproduces deterministically). A `collect`
+//! issued while such a mark is in flight follows the **abort-or-finish
+//! rule**: the mark is *finished* (drain in the pause) and exactly one
+//! transactional cycle runs — never two overlapping cycles.
 
 use crate::collector::Collector;
 use crate::error::GcError;
@@ -74,6 +72,9 @@ struct Marking {
     init_pause: Cycles,
     /// Trace cycles spent off-pause so far.
     concurrent_cycles: Cycles,
+    /// Barrier entries logged before the snapshot: charged at final mark,
+    /// never traced.
+    idle_logged: u64,
 }
 
 /// The SATB concurrent-marking wrapper around [`Lisp2Collector`].
@@ -151,8 +152,10 @@ impl ConcurrentCollector {
         if self.marking.is_some() {
             return false;
         }
-        // Entries logged before this snapshot belong to no cycle.
-        self.satb.drain();
+        // Entries logged before this snapshot predate it (the snapshot
+        // already sees their overwrites): count them for the drain
+        // charge, but do not trace them.
+        let idle_logged = self.satb.drain().len() as u64;
         let mut bitmap = self.fresh_bitmap(heap);
         let mut gray = Vec::new();
         let mut slots = 0u64;
@@ -168,6 +171,7 @@ impl ConcurrentCollector {
             gray,
             init_pause: INIT_MARK_ROOT_COST * slots.max(1),
             concurrent_cycles: Cycles::ZERO,
+            idle_logged,
         });
         true
     }
@@ -198,12 +202,13 @@ impl ConcurrentCollector {
         Ok(m.gray.is_empty())
     }
 
-    /// Finish an in-flight incremental mark inside the pause: complete
-    /// any remaining trace, drain the SATB buffer (tracing each logged
-    /// reference), re-scan the roots, and apply the allocation
-    /// watermark. All of it is charged to the STW final-mark portion —
-    /// the abort-or-finish rule pays for unfinished concurrent work in
-    /// the pause rather than letting cycles overlap.
+    /// Finish the in-flight mark inside the pause: complete any
+    /// remaining trace, drain the SATB buffer (tracing each logged
+    /// reference; idle-window entries are only charged), re-scan the
+    /// roots, and apply the allocation watermark. All of it is charged to
+    /// the STW final-mark portion — the abort-or-finish rule pays for
+    /// unfinished concurrent work in the pause rather than letting cycles
+    /// overlap.
     fn finish_mark(
         &mut self,
         kernel: &mut Kernel,
@@ -216,7 +221,7 @@ impl ConcurrentCollector {
 
         // SATB drain: every overwritten reference is a mark root.
         let entries = self.satb.drain();
-        let satb_logged = entries.len() as u64;
+        let satb_logged = m.idle_logged + entries.len() as u64;
         drain += SATB_DRAIN_ENTRY_COST * satb_logged;
         for old in entries {
             if !old.is_null() && heap.contains(old.0) && m.bitmap.mark(old.header_va()) {
@@ -240,10 +245,12 @@ impl ConcurrentCollector {
         // held references the mutator obtained from the snapshot graph
         // (traced above) or from other new objects, so no re-trace is
         // needed — the standard SATB allocation rule.
-        let (_, objects) = heap.space_and_objects();
-        for &obj in objects {
-            if obj.0 >= m.snapshot_top {
-                m.bitmap.mark(obj.header_va());
+        if heap.top() > m.snapshot_top {
+            let (_, objects) = heap.space_and_objects();
+            for &obj in objects {
+                if obj.0 >= m.snapshot_top {
+                    m.bitmap.mark(obj.header_va());
+                }
             }
         }
 
@@ -251,48 +258,6 @@ impl ConcurrentCollector {
             bitmap: m.bitmap,
             stw_mark: m.init_pause + drain,
             concurrent_mark: m.concurrent_cycles,
-            satb_logged,
-        })
-    }
-
-    /// The driver path: model a whole concurrent cycle at trigger time.
-    /// The trace runs against the current heap, so the mark set — and
-    /// therefore the compacted heap — is bit-identical to what the STW
-    /// collector would produce; only the *accounting* differs (trace
-    /// cycles charged off-pause, drain charged per logged entry).
-    fn model_cycle(
-        &mut self,
-        kernel: &mut Kernel,
-        heap: &Heap,
-        roots: &RootSet,
-    ) -> Result<Premark, HeapError> {
-        let core = self.trace_core(kernel);
-        let mut bitmap = self.fresh_bitmap(heap);
-        let mut gray = Vec::new();
-        let mut slots = 0u64;
-        for r in roots.iter_live() {
-            slots += 1;
-            if heap.contains(r.0) && bitmap.mark(r.header_va()) {
-                gray.push(r);
-            }
-        }
-        let init_pause = INIT_MARK_ROOT_COST * slots.max(1);
-        let mut concurrent = Cycles::ZERO;
-        while let Some(obj) = gray.pop() {
-            let in_heap = |va| heap.contains(va);
-            concurrent += scan_object(kernel, heap, core, obj, &mut bitmap, in_heap, &mut gray)?;
-        }
-        // Drain the window's deletion-barrier log. The trace above is
-        // already complete over the current heap, so every snapshot-live
-        // entry is marked; the drain is the final-mark pause's visit cost,
-        // proportional to how much the mutator overwrote since the last
-        // cycle.
-        let entries = self.satb.drain();
-        let satb_logged = entries.len() as u64;
-        Ok(Premark {
-            bitmap,
-            stw_mark: init_pause + SATB_DRAIN_ENTRY_COST * satb_logged,
-            concurrent_mark: concurrent,
             satb_logged,
         })
     }
@@ -309,14 +274,19 @@ impl Collector for ConcurrentCollector {
         heap: &mut Heap,
         roots: &mut RootSet,
     ) -> Result<GcCycleStats, GcError> {
-        let premark = if self.marking.is_some() {
-            // Abort-or-finish: a pressure-driven (or explicit) full GC
-            // arriving mid-mark finishes the mark in this pause and runs
-            // one transactional cycle — never two overlapping cycles.
-            self.finish_mark(kernel, heap, roots)?
-        } else {
-            self.model_cycle(kernel, heap, roots)?
-        };
+        if self.begin_mark(heap, roots) {
+            // From idle (the driver's trigger): trace to quiescence before
+            // anything else runs, so the mark set is the STW collector's.
+            // A failed trace leaves no mark in flight.
+            if let Err(e) = self.mark_step(kernel, heap, usize::MAX) {
+                self.marking = None;
+                return Err(e.into());
+            }
+        }
+        // Abort-or-finish: a collect arriving mid-mark finishes that mark
+        // in this pause and runs one transactional cycle — never two
+        // overlapping cycles.
+        let premark = self.finish_mark(kernel, heap, roots)?;
         let stats = self
             .inner
             .collect_with_premark(kernel, heap, roots, Some(&premark));
@@ -548,5 +518,39 @@ mod tests {
         assert_eq!(stats.satb_logged, 1);
         assert_eq!(gc.satb_pending(), 0);
         assert!(stats.phases.mark >= SATB_DRAIN_ENTRY_COST);
+    }
+
+    #[test]
+    fn collect_from_idle_is_begin_mark_then_unbounded_step() {
+        // Twin heaps, one idle-window overwrite each (`a -> b` nulled):
+        // `collect` from idle must be exactly `begin_mark` + an unbounded
+        // `mark_step` + `collect`, both charging the pre-snapshot entry.
+        let c0 = CoreId(0);
+        let run = |explicit: bool| {
+            let (mut k, mut heap, mut roots) = setup(8 << 20);
+            let (a, _b) = linked_pair(&mut k, &mut heap, &mut roots);
+            let mut gc = ConcurrentCollector::new(Lisp2Collector::new(GcConfig::svagc(2)));
+            gc.write_barrier(&mut k, &mut heap, c0, a, 0).unwrap();
+            heap.write_ref(&mut k, c0, a, 0, ObjRef::NULL).unwrap();
+            if explicit {
+                assert!(gc.begin_mark(&heap, &roots));
+                assert!(gc.mark_step(&mut k, &heap, usize::MAX).unwrap());
+            }
+            let stats = gc.collect(&mut k, &mut heap, &mut roots).unwrap();
+            let hash = HeapVerifier::new().content_hash(&k, &mut heap);
+            (format!("{stats:?}"), stats.satb_logged, hash)
+        };
+        let (implicit, explicit) = (run(false), run(true));
+        assert_eq!(implicit, explicit);
+        assert_eq!(explicit.1, 1, "the idle-window entry is charged");
+
+        // An STW run over the same mutation sweeps `b`: equal hashes show
+        // the pre-snapshot entry was not traced.
+        let (mut k, mut heap, mut roots) = setup(8 << 20);
+        let (a, _b) = linked_pair(&mut k, &mut heap, &mut roots);
+        heap.write_ref(&mut k, c0, a, 0, ObjRef::NULL).unwrap();
+        let mut stw = Lisp2Collector::new(GcConfig::svagc(2));
+        stw.collect(&mut k, &mut heap, &mut roots).unwrap();
+        assert_eq!(explicit.2, HeapVerifier::new().content_hash(&k, &mut heap));
     }
 }

@@ -101,7 +101,7 @@ pub struct Premark {
     pub bitmap: MarkBitmap,
     /// STW marking charge: initial-mark pause + final-mark SATB drain.
     pub stw_mark: Cycles,
-    /// Trace cycles spent off-pause, interleaved with the mutator.
+    /// Trace cycles spent off-pause, charged as mutator interference.
     pub concurrent_mark: Cycles,
     /// SATB deletion-barrier entries drained at final mark.
     pub satb_logged: u64,

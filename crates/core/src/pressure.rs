@@ -13,13 +13,9 @@
 //! remedies, each strictly cheaper than what follows:
 //!
 //! ```text
-//!   rising signal:   Elevated ──► early minor GC     Critical ──► full GC
-//!   denial ladder:   minor GC ──► full GC ──► memmove-only degrade ──► OOM
+//!   rising signal:   Elevated ──► full GC     Critical ──► full GC
+//!   denial ladder:   full GC ──► memmove-only degrade ──► OOM
 //! ```
-//!
-//! The minor-GC rungs call [`crate::Collector::collect_minor`]; no
-//! collector the workload driver builds overrides it, so in driver runs
-//! they run a full collection.
 //!
 //! The terminal rung is a *tenant-local* [`crate::GcError::OutOfMemory`]
 //! — never a panic, never another tenant's frames. Signals are
@@ -32,9 +28,6 @@ use svagc_vmem::Pressure;
 /// A remedy the escalator asks the driver to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PressureAction {
-    /// Run an early minor (young-generation) collection. Collectors
-    /// without one fall back to [`PressureAction::FullGc`].
-    MinorGc,
     /// Run a full collection (and trim the heap's committed pages after).
     FullGc,
     /// Force the collector one rung down its degraded-mode ladder
@@ -50,7 +43,6 @@ impl PressureAction {
     /// Stable label (traces, the OOM error's `last_action`).
     pub fn name(&self) -> &'static str {
         match self {
-            PressureAction::MinorGc => "minor-gc",
             PressureAction::FullGc => "full-gc",
             PressureAction::Degrade => "degrade",
             PressureAction::GiveUp => "give-up",
@@ -61,10 +53,8 @@ impl PressureAction {
 /// Counters the escalator accumulates over a run (stats lines, BENCH).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PressureStats {
-    /// Early minor GCs triggered by an elevated signal.
-    pub signal_minor_gcs: u64,
-    /// Full GCs triggered by a critical signal.
-    pub signal_full_gcs: u64,
+    /// Full GCs triggered by a rising (elevated or critical) signal.
+    pub signal_gcs: u64,
     /// Remedies run from the denial ladder (all rungs).
     pub denial_remedies: u64,
     /// Pressure-driven degrade escalations.
@@ -103,9 +93,9 @@ impl PressureEscalator {
     }
 
     /// Feed a background pressure reading (taken after an allocation).
-    /// Returns a proactive remedy on a rising edge: `Elevated` asks for
-    /// one early minor GC, `Critical` for one full GC. Each level fires
-    /// once until pressure falls back to nominal.
+    /// Returns a proactive full GC on a rising edge to `Elevated` or to
+    /// `Critical`. Each level fires once until pressure falls back to
+    /// nominal.
     pub fn on_signal(&mut self, p: Pressure) -> Option<PressureAction> {
         if !self.enabled {
             return None;
@@ -120,15 +110,15 @@ impl PressureEscalator {
                     return None;
                 }
                 self.signal_level = 1;
-                self.stats.signal_minor_gcs += 1;
-                Some(PressureAction::MinorGc)
+                self.stats.signal_gcs += 1;
+                Some(PressureAction::FullGc)
             }
             Pressure::Critical => {
                 if self.signal_level >= 2 {
                     return None;
                 }
                 self.signal_level = 2;
-                self.stats.signal_full_gcs += 1;
+                self.stats.signal_gcs += 1;
                 Some(PressureAction::FullGc)
             }
             // A fully consumed budget surfaces as a denial on the next
@@ -142,9 +132,8 @@ impl PressureEscalator {
     /// retried allocation lands to re-arm the ladder.
     pub fn on_denial(&mut self) -> PressureAction {
         let action = match self.rung {
-            0 => PressureAction::MinorGc,
-            1 => PressureAction::FullGc,
-            2 => PressureAction::Degrade,
+            0 => PressureAction::FullGc,
+            1 => PressureAction::Degrade,
             _ => PressureAction::GiveUp,
         };
         self.rung = self.rung.saturating_add(1);
@@ -173,7 +162,6 @@ mod tests {
     #[test]
     fn denial_ladder_is_ordered_and_terminal() {
         let mut e = PressureEscalator::new(true);
-        assert_eq!(e.on_denial(), PressureAction::MinorGc);
         assert_eq!(e.on_denial(), PressureAction::FullGc);
         assert_eq!(e.on_denial(), PressureAction::Degrade);
         assert_eq!(e.on_denial(), PressureAction::GiveUp);
@@ -181,21 +169,20 @@ mod tests {
         assert_eq!(e.on_denial(), PressureAction::GiveUp);
         assert_eq!(e.stats.ooms, 2);
         e.on_success();
-        assert_eq!(e.on_denial(), PressureAction::MinorGc);
+        assert_eq!(e.on_denial(), PressureAction::FullGc);
     }
 
     #[test]
     fn signals_are_edge_triggered() {
         let mut e = PressureEscalator::new(true);
-        assert_eq!(e.on_signal(Pressure::Elevated), Some(PressureAction::MinorGc));
+        assert_eq!(e.on_signal(Pressure::Elevated), Some(PressureAction::FullGc));
         assert_eq!(e.on_signal(Pressure::Elevated), None, "same edge fires once");
         assert_eq!(e.on_signal(Pressure::Critical), Some(PressureAction::FullGc));
         assert_eq!(e.on_signal(Pressure::Critical), None);
         // Falling back to nominal re-arms both edges.
         assert_eq!(e.on_signal(Pressure::Nominal), None);
         assert_eq!(e.on_signal(Pressure::Critical), Some(PressureAction::FullGc));
-        assert_eq!(e.stats.signal_minor_gcs, 1);
-        assert_eq!(e.stats.signal_full_gcs, 2);
+        assert_eq!(e.stats.signal_gcs, 3);
     }
 
     #[test]

@@ -104,9 +104,9 @@ pub struct GcCycleStats {
     pub sched_steals: u64,
     /// Total steal charges paid, in cycles.
     pub sched_steal_cycles: u64,
-    /// Marking cycles spent outside the pause, interleaved with the
-    /// mutator (`--concurrent` SATB mode; zero for STW cycles). These
-    /// are charged as mutator interference, not pause time.
+    /// Marking cycles spent outside the pause (`--concurrent` SATB mode;
+    /// zero for STW cycles). These are charged as mutator interference,
+    /// not pause time.
     pub concurrent_mark: Cycles,
     /// SATB deletion-barrier entries drained at final mark (zero for
     /// STW cycles and when the barrier logged nothing).

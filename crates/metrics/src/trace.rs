@@ -47,9 +47,8 @@ pub enum TraceKind {
     MinorCycle,
     /// LISP2 phase I: mark. Span.
     MarkPhase,
-    /// SATB marking interleaved with the mutator (`--concurrent` mode):
-    /// the off-pause portion of the trace, between the initial-mark and
-    /// final-mark pauses. Span.
+    /// SATB marking (`--concurrent` mode): the off-pause portion of the
+    /// trace, between the initial-mark and final-mark pauses. Span.
     ConcurrentMarkPhase,
     /// LISP2 phase II: compute forwarding addresses. Span.
     ForwardPhase,

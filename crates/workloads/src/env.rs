@@ -85,10 +85,9 @@ impl<'a> JvmEnv<'a> {
     /// retired before any GC (compaction invalidates its cursors).
     ///
     /// With the [`JvmEnv::pressure`] escalator armed, denials instead walk
-    /// the pressure ladder (minor GC → full GC → degrade → a tenant-local
+    /// the pressure ladder (full GC → degrade → a tenant-local
     /// [`GcError::OutOfMemory`]) and successes feed the background pressure
-    /// signal. The minor-GC rung runs a full collection unless the
-    /// collector overrides [`svagc_core::Collector::collect_minor`].
+    /// signal.
     pub fn alloc(&mut self, shape: ObjShape) -> Result<ObjRef, GcError> {
         if self.pressure.enabled() {
             return self.alloc_pressured(shape);
@@ -142,14 +141,13 @@ impl<'a> JvmEnv<'a> {
                     self.tlab.retire();
                     let action = self.pressure.on_denial();
                     match action {
-                        PressureAction::MinorGc => self.pressure_collect(true)?,
-                        PressureAction::FullGc => self.pressure_collect(false)?,
+                        PressureAction::FullGc => self.pressure_collect()?,
                         PressureAction::Degrade => {
                             // Memmove-only compaction packs the heap as
                             // tightly as the collector can; whether the
                             // ladder had a rung left or not, collect again.
                             self.collector.pressure_degrade();
-                            self.pressure_collect(false)?;
+                            self.pressure_collect()?;
                         }
                         PressureAction::GiveUp => {
                             // `last_action` is the remedy that ran (and
@@ -164,26 +162,11 @@ impl<'a> JvmEnv<'a> {
         }
     }
 
-    /// Run the remedy collection (`minor` falls back to a full cycle for
-    /// collectors without a young generation — every collector
-    /// [`crate::CollectorKind::build`] returns), then return any committed
-    /// pages above the compacted top to the frame pool.
-    fn pressure_collect(&mut self, minor: bool) -> Result<(), GcError> {
-        let minor_result = if minor {
-            self.collector
-                .collect_minor(self.kernel, &mut self.heap, &mut self.roots)
-        } else {
-            None
-        };
-        match minor_result {
-            Some(r) => {
-                r?;
-            }
-            None => {
-                self.collector
-                    .collect(self.kernel, &mut self.heap, &mut self.roots)?;
-            }
-        }
+    /// Run the remedy collection, then return any committed pages above
+    /// the compacted top to the frame pool.
+    fn pressure_collect(&mut self) -> Result<(), GcError> {
+        self.collector
+            .collect(self.kernel, &mut self.heap, &mut self.roots)?;
         self.heap.trim_commit(self.kernel)?;
         self.tier_pass()?;
         Ok(())
@@ -197,13 +180,9 @@ impl<'a> JvmEnv<'a> {
             None => return Ok(()),
         };
         match self.pressure.on_signal(p) {
-            Some(PressureAction::MinorGc) => {
-                self.tlab.retire();
-                self.pressure_collect(true)
-            }
             Some(PressureAction::FullGc) => {
                 self.tlab.retire();
-                self.pressure_collect(false)
+                self.pressure_collect()
             }
             _ => Ok(()),
         }

@@ -228,10 +228,7 @@ mod tests {
             .faulty
             .completed()
             .iter()
-            .map(|(_, r)| {
-                r.pressure.denial_remedies + r.pressure.signal_minor_gcs
-                    + r.pressure.signal_full_gcs
-            })
+            .map(|(_, r)| r.pressure.denial_remedies + r.pressure.signal_gcs)
             .sum();
         assert!(remedies > 0, "quota squeeze never engaged the pressure ladder");
     }

@@ -1,9 +1,9 @@
 //! End-to-end `--concurrent` mode: SATB concurrent marking through the
 //! full driver stack. The load-bearing invariant everywhere: a concurrent
 //! run's final live heap is bit-identical to the stop-the-world run's —
-//! SATB may float garbage *within* a cycle, but the driver path models
-//! the whole cycle at trigger time, so survivors (and their bytes and
-//! addresses) never differ.
+//! SATB may float garbage *within* a cycle, but a driver run takes the
+//! snapshot, traces and finishes the mark at the trigger, so survivors
+//! (and their bytes and addresses) never differ.
 
 use svagc::gc::{Collector, ConcurrentCollector, GcConfig, Lisp2Collector, SchedulerKind};
 use svagc::heap::{Heap, HeapConfig, HeapVerifier, ObjShape, RootSet};
@@ -89,7 +89,7 @@ fn concurrent_survives_fault_injection_bit_identical() {
 }
 
 /// Satellite: pressure ladder under `--concurrent`. The escalation path
-/// (minor → full → degrade) drives collections through the concurrent
+/// (full GC → degrade) drives collections through the concurrent
 /// collector; the run must complete with the same final heap as the
 /// pressured STW run.
 #[test]
