@@ -8,8 +8,8 @@
 //!
 //! 1. **Hotness.** Every translation through the kernel records the
 //!    touched frame; the controller drains that set each pass into a
-//!    decayed per-frame score. Pages the mutator keeps touching never
-//!    become demotion candidates.
+//!    decayed per-frame score, a table indexed by frame id. Pages the
+//!    mutator keeps touching never become demotion candidates.
 //! 2. **Demotion.** When the resident page count exceeds
 //!    `ceil(heap pages × dram_fraction)`, the coldest resident pages are
 //!    demoted (device writeback + verify + WAL record each) until the
@@ -33,7 +33,6 @@
 
 use crate::error::GcError;
 use crate::packets::PacketKind;
-use std::collections::BTreeMap;
 use svagc_kernel::{Kernel, TierError};
 use svagc_metrics::{Cycles, TraceKind};
 use svagc_vmem::{AddressSpace, FrameId, VirtAddr, PAGE_SIZE};
@@ -106,11 +105,19 @@ pub struct TierCtlStats {
 }
 
 /// The per-tenant tiering policy state carried across GC cycles.
+///
+/// Hotness is a score per frame, indexed by frame id and sized to the
+/// installed tier's frame table. A frame never touched scores 0, and the
+/// candidate order is `(score, frame)`, so the demotion order depends
+/// only on the scores, never on how they are stored.
 #[derive(Debug, Clone)]
 pub struct TierController {
     policy: Option<TierPolicy>,
     mode: TierMode,
-    hotness: BTreeMap<FrameId, u32>,
+    hotness: Vec<u32>,
+    /// Candidate list of the last pass, kept so each pass reuses its
+    /// allocation.
+    cand: Vec<(u32, FrameId, VirtAddr)>,
     clean_passes: u32,
     /// Activity counters.
     pub stats: TierCtlStats,
@@ -123,7 +130,8 @@ impl TierController {
         TierController {
             policy: None,
             mode: TierMode::Tiered,
-            hotness: BTreeMap::new(),
+            hotness: Vec::new(),
+            cand: Vec::new(),
             clean_passes: 0,
             stats: TierCtlStats::default(),
         }
@@ -149,45 +157,46 @@ impl TierController {
 
     /// Decay hotness and fold in the frames touched since the last pass.
     fn refresh_hotness(&mut self, kernel: &mut Kernel) {
-        let touched = match kernel.far_tier_mut() {
-            Some(t) => t.take_touched(),
-            None => return,
+        let Some(tier) = kernel.far_tier_mut() else {
+            return;
         };
-        self.hotness.retain(|_, score| {
+        self.hotness.resize(tier.frame_capacity(), 0);
+        for score in &mut self.hotness {
             *score /= 2;
-            *score > 0
-        });
-        for f in touched {
-            *self.hotness.entry(f).or_insert(0) += TOUCH_BOOST;
         }
+        let hotness = &mut self.hotness;
+        tier.drain_touched(|f| hotness[f.0 as usize] += TOUCH_BOOST);
     }
 
-    /// Resident heap pages as `(hotness, frame, va)`, coldest first.
+    /// Fill `self.cand` with the resident heap pages as `(hotness, frame,
+    /// va)`, coldest first, and return the committed page count.
     /// Committed-but-far pages count toward the total but are not
     /// candidates (they are already demoted).
     fn candidates(
-        &self,
+        &mut self,
         kernel: &Kernel,
         space: &AddressSpace,
         base: VirtAddr,
         top: VirtAddr,
-    ) -> (u64, Vec<(u32, FrameId, VirtAddr)>) {
+    ) -> u64 {
         let tier = kernel.far_tier().expect("checked by caller");
         let mut total = 0u64;
-        let mut cand = Vec::new();
+        self.cand.clear();
         let mut va = VirtAddr(base.get() & !(PAGE_SIZE - 1));
         while va.get() < top.get() {
             if let Ok(pa) = space.translate(va) {
                 total += 1;
                 let frame = pa.frame();
                 if !tier.is_far(frame) {
-                    cand.push((self.hotness.get(&frame).copied().unwrap_or(0), frame, va));
+                    let score = self.hotness.get(frame.0 as usize).copied().unwrap_or(0);
+                    self.cand.push((score, frame, va));
                 }
             }
             va = VirtAddr(va.get() + PAGE_SIZE);
         }
-        cand.sort_by_key(|&(score, frame, _)| (score, frame));
-        (total, cand)
+        // Frames are unique, so the unstable sort is a total order.
+        self.cand.sort_unstable_by_key(|&(score, frame, _)| (score, frame));
+        total
     }
 
     /// Permanent writeback failure: pull everything back to DRAM and
@@ -199,7 +208,7 @@ impl TierController {
         self.mode = TierMode::DramOnly;
         self.clean_passes = 0;
         self.stats.degraded += 1;
-        self.hotness.clear();
+        self.hotness.fill(0);
         let t = kernel.tier_promote_all().map_err(GcError::from)?;
         kernel.trace.instant(
             TraceKind::ModeChange,
@@ -228,9 +237,9 @@ impl TierController {
         }
         self.stats.passes += 1;
         self.refresh_hotness(kernel);
-        let (total, cand) = self.candidates(kernel, space, base, top);
+        let total = self.candidates(kernel, space, base, top);
         let target = (total as f64 * policy.dram_fraction).ceil() as u64;
-        let want = (cand.len() as u64).saturating_sub(target.max(1)) as usize;
+        let want = (self.cand.len() as u64).saturating_sub(target.max(1)) as usize;
 
         let mut budget = match self.mode {
             TierMode::Tiered => want.min(policy.max_batch),
@@ -246,6 +255,9 @@ impl TierController {
             }
         };
 
+        // Taken for the loop (which needs `&mut self`) and put back after
+        // it; an error return drops it, and the run ends anyway.
+        let cand = std::mem::take(&mut self.cand);
         let mut t = Cycles::ZERO;
         let mut demoted = 0u64;
         for &(_, _, va) in &cand {
@@ -283,6 +295,7 @@ impl TierController {
                 Err(e) => return Err(e.into()),
             }
         }
+        self.cand = cand;
         self.stats.demoted_pages += demoted;
         if demoted > 0 {
             kernel.trace.instant(
@@ -358,7 +371,7 @@ mod tests {
         let mut c = TierController::new(TierPolicy::new(0.5));
         // The setup writes touched every page; drain that noise so only
         // the reads below count as the hotness signal.
-        k.far_tier_mut().unwrap().take_touched();
+        k.far_tier_mut().unwrap().drain_touched(|_| {});
         // Touch pages 0..4 so they are hot; the cold half (4..8) goes far.
         for i in 0..4 {
             k.read_word(&s, CoreId(0), va.add_pages(i)).unwrap();
@@ -370,6 +383,53 @@ mod tests {
             assert!(!tier.is_far(f), "hot page {i} stayed resident");
         }
         assert_eq!(tier.far_count(), 4);
+    }
+
+    /// The candidate order of every pass equals the order an ordered-map
+    /// hotness table gives: decay drops every score to half (a score of
+    /// 0 leaves the map), touched frames gain [`TOUCH_BOOST`], and
+    /// resident heap pages sort by `(score, frame)`.
+    #[test]
+    fn candidate_order_matches_an_ordered_map_reference() {
+        use std::collections::{BTreeMap, BTreeSet};
+        use svagc_metrics::SimRng;
+        const PAGES: u64 = 24;
+        for case in 0..16u64 {
+            let rng = &mut SimRng::seed_from_u64(0x407_0000 + case);
+            let (mut k, s, va) = setup(PAGES, 64);
+            k.far_tier_mut().unwrap().drain_touched(|_| {});
+            let mut c = TierController::new(TierPolicy {
+                max_batch: 3,
+                ..TierPolicy::new(0.5)
+            });
+            let mut hotness: BTreeMap<FrameId, u32> = BTreeMap::new();
+            for pass in 0..24 {
+                let mut touched = BTreeSet::new();
+                for _ in 0..rng.gen_range(0..12usize) {
+                    let page = va.add_pages(rng.gen_range(0..PAGES));
+                    k.read_word(&s, CoreId(0), page).unwrap();
+                    touched.insert(s.translate(page).unwrap().frame());
+                }
+                hotness.retain(|_, score| {
+                    *score /= 2;
+                    *score > 0
+                });
+                for f in touched {
+                    *hotness.entry(f).or_insert(0) += TOUCH_BOOST;
+                }
+                let tier = k.far_tier().unwrap();
+                let mut want: Vec<(u32, FrameId, VirtAddr)> = (0..PAGES)
+                    .map(|p| va.add_pages(p))
+                    .map(|v| (s.translate(v).unwrap().frame(), v))
+                    .filter(|&(f, _)| !tier.is_far(f))
+                    .map(|(f, v)| (hotness.get(&f).copied().unwrap_or(0), f, v))
+                    .collect();
+                want.sort_by_key(|&(score, frame, _)| (score, frame));
+                c.after_cycle(&mut k, &s, va, top(va, PAGES)).unwrap();
+                assert_eq!(c.cand, want, "case {case} pass {pass}");
+            }
+            assert!(c.stats.demoted_pages > 0, "case {case} never demoted");
+        }
     }
 
     #[test]

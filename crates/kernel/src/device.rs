@@ -578,7 +578,7 @@ impl FarDevice {
     }
 
     /// Recovery-time free-list rebuild: keep exactly the slots in `live`
-    /// (the residency map replayed from the WAL) and release everything
+    /// (the residency table replayed from the WAL) and release everything
     /// else — orphaned slots from demotions that crashed between the
     /// device program and the WAL record become free again, so a crash
     /// can never leak device capacity.

@@ -59,7 +59,7 @@ pub struct Kernel {
     pub(crate) wal: WriteAheadLog,
     /// Far-memory tier (None = DRAM-only; see [`crate::tier`]). The
     /// backing device is durable across [`Kernel::reboot`]; the host-side
-    /// residency map is volatile and rebuilt by recovery from the WAL.
+    /// residency table is volatile and rebuilt by recovery from the WAL.
     pub(crate) tier: Option<crate::tier::FarTier>,
     /// Pending seeded crashes (see [`crate::fault::CrashPlan`]).
     pub(crate) crash: Vec<CrashPlan>,
@@ -111,10 +111,9 @@ impl Kernel {
         self.wal.drop_volatile();
         if let Some(t) = self.tier.as_mut() {
             // The device (and its data) is durable; the host-side
-            // residency map is kernel memory and dies with the machine.
+            // residency table is kernel memory and dies with the machine.
             // Recovery rebuilds it from the WAL's tier stream.
-            t.residency.clear();
-            t.touched.clear();
+            t.clear_volatile();
         }
         if self.tlb_oracle.is_enabled() {
             // The oracle audits flush coverage against mutation history;
@@ -352,7 +351,7 @@ impl Kernel {
             }
         };
         // Far-tier hook: a TLB hit proves the mapping is cached, not that
-        // the frame is resident — every arm consults the residency map so
+        // the frame is resident — every arm consults the residency table so
         // a demoted page is fetched before the access proceeds.
         if self.tier.is_some() {
             t += self.tier_fetch_on_access(frame)?;

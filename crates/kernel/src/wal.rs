@@ -772,7 +772,7 @@ impl Kernel {
     /// [`WalPayload::TierPromote`]) under the reserved [`TIER_EPOCH`].
     /// Unlike intents these are not bracketed by a cycle — they form one
     /// append-only replay stream from which recovery rebuilds the
-    /// residency map. Charged through the bandwidth model like intents.
+    /// residency table. Charged through the bandwidth model like intents.
     pub(crate) fn wal_tier_record(&mut self, payload: WalPayload) -> Cycles {
         debug_assert!(matches!(
             payload,

@@ -261,3 +261,34 @@ fn tiering_composes_with_swapva_faults() {
     assert!(r.gc.total_faults_injected() > 0, "the SwapVA plan must fire");
     assert!(r.tier.demotions > 0, "the tier must be active");
 }
+
+/// The tier's event stream, pinned for one fixed configuration: 30 % of
+/// the heap resident, 1 % device faults, a fixed device seed. The
+/// demotion order decides which pages later fetch on access, and every
+/// fetch, retry and writeback costs cycles, so a host-side change to the
+/// tier's bookkeeping that reorders demotions shows up in these counters
+/// or in the total cycles.
+#[test]
+fn tiered_event_stream_is_pinned() {
+    let r = tiered_run(0.3, 0.01);
+    assert!(r.verify_ok);
+    let tier = (
+        r.tier.demotions,
+        r.tier.promotions,
+        r.tier.fetch_on_access,
+        r.tier.far_peak,
+        r.tier_ctl.passes,
+    );
+    let device = (
+        r.device.writebacks,
+        r.device.fetches,
+        r.device.verifies,
+        r.device.faults,
+        r.device.torn_writebacks,
+        r.device.slots_peak,
+    );
+    assert_eq!(tier, (192, 192, 128, 128, 3), "tier counters");
+    assert_eq!(device, (193, 192, 192, 5, 0, 128), "device counters");
+    assert_eq!(r.total_cycles(), 17_574_154, "total cycles");
+    assert_eq!(r.heap_hash, 0x7ec3b25d7553aaba, "heap hash");
+}
