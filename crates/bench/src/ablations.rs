@@ -2,7 +2,7 @@
 //! threshold, aggregation batch size, flush policy, compaction
 //! work-stealing, and SwapVA in the Minor GC (Table I row 2).
 
-use svagc_baselines::{LosCollector, LosHeap};
+use crate::los::{LosCollector, LosHeap};
 use svagc_core::{GcConfig, Lisp2Collector, MinorGc};
 use svagc_heap::{GenHeap, Heap, HeapConfig, HeapError, ObjRef, ObjShape, RootSet};
 use svagc_kernel::{CoreId, Kernel};

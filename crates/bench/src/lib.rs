@@ -3,6 +3,8 @@
 //! * [`micro`] — kernel-level sweeps (Figs. 6, 8, 9, 10).
 //! * [`ablations`] — design-choice studies (threshold, aggregation batch,
 //!   flush policy, stealing, Minor-GC promotion).
+//! * [`los`] — the non-moving Large-Object-Space heap that Ablation E
+//!   measures SVAGC against.
 //! * [`suites`] — whole-benchmark runs (Figs. 1, 2, 11-16, Table III).
 //! * [`report`] — per-experiment report sink, BENCH JSON emitter, and
 //!   table/JSON output helpers.
@@ -19,6 +21,7 @@
 
 pub mod ablations;
 pub mod gate;
+pub mod los;
 pub mod micro;
 pub mod render;
 pub mod report;

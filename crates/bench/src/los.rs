@@ -346,21 +346,16 @@ impl LosCollector {
                 *slot = dst;
             }
         }
-        // ...fields of every small object...
-        for &obj in &heap.small.objects_sorted().to_vec() {
-            let (hdr, t) = heap.small.read_header(kernel, core, obj)?;
-            pool.dispatch_to(0, t);
-            for i in 0..hdr.num_refs as u64 {
-                let (tgt, t1) = heap.small.read_ref(kernel, core, obj, i)?;
-                pool.dispatch_to(0, t1);
-                if let Some(&dst) = forwarding.get(&tgt.0.get()) {
-                    let t2 = heap.small.write_ref(kernel, core, obj, i, dst)?;
-                    pool.dispatch_to(0, t2);
-                }
-            }
-        }
-        // ...and fields of the LOS objects themselves (at new addresses).
-        for &obj in &heap.los_objects.clone() {
+        // ...and fields of every small object, then of the LOS objects
+        // themselves (at their new addresses).
+        let holders: Vec<ObjRef> = heap
+            .small
+            .objects_sorted()
+            .iter()
+            .chain(&heap.los_objects)
+            .copied()
+            .collect();
+        for obj in holders {
             let (hdr, t) = heap.small.read_header(kernel, core, obj)?;
             pool.dispatch_to(0, t);
             for i in 0..hdr.num_refs as u64 {

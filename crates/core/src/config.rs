@@ -119,6 +119,29 @@ impl GcConfig {
         }
     }
 
+    /// The ParallelGC baseline: HotSpot's throughput collector, whose
+    /// Full GC (what Figs. 12/13 measure) is a parallel work-stealing
+    /// mark-compact with memmove relocation. That is this LISP2 collector
+    /// with SwapVA off and, since PTEs never change, no pinning protocol
+    /// and no shootdowns. Pair it with a heap built via
+    /// `HeapConfig::with_alignment(false)`: baseline JVMs do not
+    /// page-align large objects. The generational young collection is
+    /// not modeled; the paper's evaluation isolates Full-GC behaviour.
+    pub fn parallelgc(gc_threads: usize) -> GcConfig {
+        GcConfig::lisp2_memmove(gc_threads).with_pinned(false)
+    }
+
+    /// The Shenandoah baseline: [`GcConfig::parallelgc`] with a serial
+    /// copy phase. The collections the paper's benchmarks trigger are
+    /// degenerated/full cycles whose copy phase "does not utilize the
+    /// work-stealing mechanism and parallelism" (§V-A). The driver always
+    /// wraps it in [`crate::ConcurrentCollector`], so it marks through the
+    /// same SATB machinery as SVAGC `--concurrent`; forward and adjust
+    /// stay parallel with stealing. Pair it with an unaligned heap too.
+    pub fn shenandoah(gc_threads: usize) -> GcConfig {
+        GcConfig::parallelgc(gc_threads).with_compact_threads(Some(1))
+    }
+
     /// SVAGC with the naive per-call global shootdown (Fig. 9 baseline).
     pub fn svagc_naive_flush(gc_threads: usize) -> GcConfig {
         GcConfig {
@@ -210,6 +233,37 @@ impl GcConfig {
 mod tests {
     use super::*;
 
+    /// The fields in which `a` and `b` differ. The exhaustive destructure
+    /// makes a new `GcConfig` field a compile error here.
+    fn differing(a: &GcConfig, b: &GcConfig) -> Vec<&'static str> {
+        let GcConfig {
+            gc_threads,
+            use_swapva,
+            aggregation,
+            pmd_cache,
+            overlap_opt,
+            pinned_compaction,
+            work_stealing,
+            compact_threads,
+            verify_phases,
+            retry,
+            deadline_cycles,
+            degrade,
+            scheduler,
+            core_base,
+        } = *a;
+        let mut out = Vec::new();
+        macro_rules! cmp {
+            ($($f:ident),*) => { $( if $f != b.$f { out.push(stringify!($f)); } )* };
+        }
+        cmp!(
+            gc_threads, use_swapva, aggregation, pmd_cache, overlap_opt, pinned_compaction,
+            work_stealing, compact_threads, verify_phases, retry, deadline_cycles, degrade,
+            scheduler, core_base
+        );
+        out
+    }
+
     #[test]
     fn presets() {
         let s = GcConfig::svagc(8);
@@ -220,6 +274,12 @@ mod tests {
         assert!(m.work_stealing, "memmove variant keeps parallel phases");
         let n = GcConfig::svagc_naive_flush(4);
         assert!(n.use_swapva && !n.pinned_compaction);
+        let p = GcConfig::parallelgc(8);
+        assert_eq!(differing(&m, &p), ["pinned_compaction"]);
+        assert!(!p.pinned_compaction);
+        let sh = GcConfig::shenandoah(8);
+        assert_eq!(differing(&p, &sh), ["compact_threads"]);
+        assert_eq!(sh.compact_threads, Some(1));
     }
 
     #[test]

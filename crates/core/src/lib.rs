@@ -3,7 +3,9 @@
 //! entries (the SwapVA system call) instead of copying bytes.
 //!
 //! * [`config`] — which mechanisms are on ([`GcConfig::svagc`] vs
-//!   [`GcConfig::lisp2_memmove`] is the paper's central comparison).
+//!   [`GcConfig::lisp2_memmove`] is the paper's central comparison;
+//!   [`GcConfig::parallelgc`] and [`GcConfig::shenandoah`] are the
+//!   baselines).
 //! * [`lisp2`] — the four STW phases over real simulated memory.
 //! * [`scheduler`] — deterministic virtual-time model of parallel GC
 //!   workers (work stealing vs static partitioning).

@@ -19,12 +19,6 @@ pub struct CardTable {
     cards: u64,
     dirty: Vec<u64>,
     dirtied: u64,
-    /// Cards dirtied while a defer window is open (a concurrent mark is
-    /// in flight). [`CardTable::clear`] re-applies these instead of
-    /// dropping them, so a minor GC racing the concurrent phase cannot
-    /// lose an old→young edge recorded after its card scan began.
-    deferred: Vec<u64>,
-    defer_active: bool,
 }
 
 impl CardTable {
@@ -37,8 +31,6 @@ impl CardTable {
             cards,
             dirty: vec![0; words],
             dirtied: 0,
-            deferred: vec![0; words],
-            defer_active: false,
         }
     }
 
@@ -60,9 +52,6 @@ impl CardTable {
         };
         let (w, b) = ((idx / 64) as usize, idx % 64);
         let mask = 1u64 << b;
-        if self.defer_active {
-            self.deferred[w] |= mask;
-        }
         if self.dirty[w] & mask != 0 {
             false
         } else {
@@ -101,39 +90,10 @@ impl CardTable {
         self.dirtied
     }
 
-    /// Clear all cards (after a scavenge). While a defer window is open,
-    /// cards dirtied inside the window are re-applied instead of dropped:
-    /// the racing collector's scan may have started before those stores,
-    /// so only the next scan (or the final-mark pause) may consume them.
+    /// Clear all cards (after a scavenge).
     pub fn clear(&mut self) {
         self.dirty.fill(0);
         self.dirtied = 0;
-        if self.defer_active {
-            for (d, &src) in self.dirty.iter_mut().zip(self.deferred.iter()) {
-                *d = src;
-            }
-            self.dirtied = self.deferred.iter().map(|w| w.count_ones() as u64).sum();
-        }
-    }
-
-    /// Open a defer window: until [`CardTable::end_defer`], every card
-    /// dirtied also survives [`CardTable::clear`]. Used while a concurrent
-    /// mark is in flight.
-    pub fn begin_defer(&mut self) {
-        self.defer_active = true;
-        self.deferred.fill(0);
-    }
-
-    /// Close the defer window and drop its re-dirty log. Cards already
-    /// re-applied by an intervening `clear` stay dirty.
-    pub fn end_defer(&mut self) {
-        self.defer_active = false;
-        self.deferred.fill(0);
-    }
-
-    /// Is a defer window currently open?
-    pub fn defer_active(&self) -> bool {
-        self.defer_active
     }
 }
 
@@ -188,40 +148,5 @@ mod tests {
         t.clear();
         assert_eq!(t.dirty_count(), 0);
         assert_eq!(t.iter_dirty().count(), 0);
-    }
-
-    #[test]
-    fn deferred_cards_survive_clear() {
-        let mut t = table();
-        t.dirty(VirtAddr(0x10000)); // pre-window: dropped by clear
-        t.begin_defer();
-        t.dirty(VirtAddr(0x10000 + 5 * CARD_BYTES)); // in-window: survives
-        t.clear();
-        assert!(!t.is_dirty(VirtAddr(0x10000)), "pre-window card cleared");
-        assert!(
-            t.is_dirty(VirtAddr(0x10000 + 5 * CARD_BYTES)),
-            "in-window card re-applied"
-        );
-        assert_eq!(t.dirty_count(), 1);
-        // A second clear inside the same window re-applies again.
-        t.clear();
-        assert!(t.is_dirty(VirtAddr(0x10000 + 5 * CARD_BYTES)));
-        t.end_defer();
-        t.clear();
-        assert_eq!(t.dirty_count(), 0, "window closed: clear is final");
-    }
-
-    #[test]
-    fn defer_window_toggles() {
-        let mut t = table();
-        assert!(!t.defer_active());
-        t.begin_defer();
-        assert!(t.defer_active());
-        t.end_defer();
-        assert!(!t.defer_active());
-        // Without a window, clear drops everything (legacy behavior).
-        t.dirty(VirtAddr(0x10000));
-        t.clear();
-        assert_eq!(t.dirty_count(), 0);
     }
 }

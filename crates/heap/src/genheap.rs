@@ -153,26 +153,11 @@ impl GenHeap {
 
     /// Wipe the nursery after a scavenge: every survivor was promoted, so
     /// eden restarts empty and the remembered set is clean (no old→young
-    /// references can exist). While a concurrent-mark defer window is
-    /// open ([`GenHeap::begin_card_defer`]), cards dirtied inside the
-    /// window are re-applied rather than dropped — the racing minor GC's
-    /// scan may predate those stores.
+    /// references can exist).
     pub fn reset_eden(&mut self) {
         self.eden_top = self.eden_base;
         self.eden_objects.clear();
         self.cards.clear();
-    }
-
-    /// Open the remembered-set defer window for a concurrent mark: until
-    /// [`GenHeap::end_card_defer`], cards dirtied by the write barrier
-    /// survive any racing scavenge's card clear.
-    pub fn begin_card_defer(&mut self) {
-        self.cards.begin_defer();
-    }
-
-    /// Close the concurrent-mark defer window.
-    pub fn end_card_defer(&mut self) {
-        self.cards.end_defer();
     }
 }
 
@@ -259,43 +244,6 @@ mod tests {
         assert_eq!(gh.cards.dirty_count(), 1);
         // The stores themselves happened.
         assert_eq!(gh.old.read_ref(&mut k, CoreId(0), old_obj, 0).unwrap().0, young_obj);
-    }
-
-    #[test]
-    fn racing_clear_loses_edge_without_defer_window() {
-        // The pre-fix bug this PR pins: a card recorded while a concurrent
-        // mark is in flight, then wiped by a racing minor GC's clear,
-        // silently loses the old→young edge.
-        let (mut k, mut gh) = setup();
-        let (old_obj, _) = gh.old.alloc(&mut k, CoreId(0), ObjShape::with_refs(1, 2)).unwrap();
-        let (y, _) = gh.alloc_young(&mut k, CoreId(0), ObjShape::data(4)).unwrap();
-        gh.write_ref_barrier(&mut k, CoreId(0), old_obj, 0, y).unwrap();
-        gh.cards.clear(); // racing scavenge, no defer window
-        assert!(
-            !gh.cards.is_dirty(old_obj.ref_field_va(0)),
-            "without the defer path the remembered-set entry is gone \
-             while old_obj still points at a young object"
-        );
-        // The heap really does hold a now-invisible old→young reference.
-        assert_eq!(gh.old.read_ref(&mut k, CoreId(0), old_obj, 0).unwrap().0, y);
-        assert!(gh.in_young(y.0));
-    }
-
-    #[test]
-    fn defer_window_preserves_edge_across_racing_clear() {
-        let (mut k, mut gh) = setup();
-        let (old_obj, _) = gh.old.alloc(&mut k, CoreId(0), ObjShape::with_refs(1, 2)).unwrap();
-        gh.begin_card_defer(); // concurrent mark begins
-        let (y, _) = gh.alloc_young(&mut k, CoreId(0), ObjShape::data(4)).unwrap();
-        gh.write_ref_barrier(&mut k, CoreId(0), old_obj, 0, y).unwrap();
-        gh.cards.clear(); // racing scavenge mid-window
-        assert!(
-            gh.cards.is_dirty(old_obj.ref_field_va(0)),
-            "in-window card must survive the racing clear"
-        );
-        gh.end_card_defer();
-        gh.cards.clear();
-        assert_eq!(gh.cards.dirty_count(), 0, "after the window, clears are final");
     }
 
     #[test]

@@ -141,11 +141,6 @@ impl DeviceFaultConfig {
         self.offline_after = Some(n);
         self
     }
-
-    /// Sum of the per-request probabilities.
-    pub fn total_p(&self) -> f64 {
-        self.p_eio + self.p_spike + self.p_torn + self.p_offline
-    }
 }
 
 /// A seeded device-fault schedule: one PRNG draw per request decides
@@ -383,11 +378,6 @@ impl FarDevice {
     /// Install (or clear) the seeded fault plan.
     pub fn set_fault_plan(&mut self, plan: Option<DeviceFaultPlan>) {
         self.plan = plan;
-    }
-
-    /// The active fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&DeviceFaultPlan> {
-        self.plan.as_ref()
     }
 
     /// Has the device latched offline?

@@ -129,11 +129,6 @@ impl FaultConfig {
             seed,
         }
     }
-
-    /// Sum of all per-call probabilities.
-    pub fn total_p(&self) -> f64 {
-        self.p_transient + self.p_invalid + self.p_nomem + self.p_timeout
-    }
 }
 
 /// A seeded fault schedule: one PRNG draw per swap request decides whether
@@ -325,11 +320,6 @@ impl Kernel {
     /// SwapVA request.
     pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
         self.fault = plan;
-    }
-
-    /// The active fault plan, if any (for inspecting `injected`).
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault.as_ref()
     }
 
     /// Roll the fault plan for one swap request; counts injections in

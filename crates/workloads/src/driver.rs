@@ -3,7 +3,6 @@
 
 use crate::env::JvmEnv;
 use crate::workload::Workload;
-use svagc_baselines::{parallelgc, shenandoah};
 use svagc_core::{
     recover, Collector, ConcurrentCollector, DegradePolicy, GcConfig, GcError, GcLog,
     Lisp2Collector, PressureEscalator, PressureStats, RecoveryError, RecoveryReport,
@@ -37,8 +36,8 @@ impl CollectorKind {
     /// worker count, post-phase verification, watchdog deadline,
     /// degraded-mode policy, SwapVA retry-policy override, scheduling
     /// policy and core-affinity base. Every kind is a LISP2 configuration
-    /// (the baselines' come from [`parallelgc::config`] and
-    /// [`shenandoah::config`]), so every knob applies to every kind. A
+    /// (the baselines' come from [`GcConfig::parallelgc`] and
+    /// [`GcConfig::shenandoah`]), so every knob applies to every kind. A
     /// concurrent kind gets SATB concurrent marking: [`ConcurrentCollector`]
     /// around the same configuration. Shenandoah always marks
     /// concurrently, ParallelGC never does, and every other kind follows
@@ -67,8 +66,8 @@ impl CollectorKind {
         let preset = match self {
             CollectorKind::Svagc => GcConfig::svagc(threads),
             CollectorKind::SvagcMemmove => GcConfig::lisp2_memmove(threads),
-            CollectorKind::ParallelGc => parallelgc::config(threads),
-            CollectorKind::Shenandoah => shenandoah::config(threads),
+            CollectorKind::ParallelGc => GcConfig::parallelgc(threads),
+            CollectorKind::Shenandoah => GcConfig::shenandoah(threads),
         };
         GcConfig {
             verify_phases: run.verify_phases,

@@ -15,13 +15,11 @@
 //!   page-aligned large-object allocator of Algorithm 3.
 //! * [`gc`] — SVAGC itself: a parallel LISP2 mark-compact collector whose
 //!   `MoveObject` dispatches large objects to SwapVA (Algorithms 3–4).
-//! * [`baselines`] — ParallelGC-like and Shenandoah-like comparators.
 //! * [`workloads`] — the paper's eleven benchmarks and run drivers.
 //!
 //! See `README.md` for a quickstart and `DESIGN.md` for the system
 //! inventory and per-experiment index.
 
-pub use svagc_baselines as baselines;
 pub use svagc_core as gc;
 pub use svagc_heap as heap;
 pub use svagc_kernel as kernel;
