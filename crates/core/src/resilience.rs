@@ -209,14 +209,17 @@ impl SwapPlan<'_> {
         if batch.is_empty() {
             return Ok((Cycles::ZERO, Cycles::ZERO));
         }
-        let entries = batch.take();
-        let reqs: Vec<SwapRequest> = entries.iter().map(|(r, _)| *r).collect();
-        let out =
-            execute_swaps(kernel, space, &reqs, self.opts, core, self.aggregated, self.retry)?;
-        stats.book(&out);
-        for &i in &out.fallback {
-            stats.rebook_fallback(entries[i].1);
+        let reqs = batch.requests();
+        let result =
+            execute_swaps(kernel, space, reqs, self.opts, core, self.aggregated, self.retry);
+        if let Ok(out) = &result {
+            stats.book(out);
+            for &i in &out.fallback {
+                stats.rebook_fallback(batch.bytes(i));
+            }
         }
+        batch.clear();
+        let out = result?;
         Ok((out.cycles, out.interference))
     }
 }

@@ -11,11 +11,15 @@
 use crate::swapva::SwapRequest;
 
 /// A pending aggregation buffer: swap requests queued for one flush, each
-/// carrying the originating object's true byte size so a memmove fallback
-/// can be re-attributed in the collector's statistics.
+/// with the originating object's true byte size so a memmove fallback can
+/// be re-attributed in the collector's statistics. The flush borrows the
+/// requests and [`SwapBatch::clear`] empties the buffers in place, so a
+/// reused batch allocates nothing once it has reached its working size.
 #[derive(Debug, Clone)]
 pub struct SwapBatch {
-    entries: Vec<(SwapRequest, u64)>,
+    reqs: Vec<SwapRequest>,
+    /// `bytes[i]` is the byte size of the object `reqs[i]` moves.
+    bytes: Vec<u64>,
     pages: u64,
     cap: usize,
     page_budget: u64,
@@ -26,7 +30,8 @@ impl SwapBatch {
     /// whichever comes first. Both are clamped to at least 1.
     pub fn new(cap: usize, page_budget: u64) -> SwapBatch {
         SwapBatch {
-            entries: Vec::new(),
+            reqs: Vec::new(),
+            bytes: Vec::new(),
             pages: 0,
             cap: cap.max(1),
             page_budget: page_budget.max(1),
@@ -37,18 +42,19 @@ impl SwapBatch {
     /// (cap reached or page budget exhausted).
     pub fn push(&mut self, req: SwapRequest, bytes: u64) -> bool {
         self.pages += req.pages;
-        self.entries.push((req, bytes));
-        self.entries.len() >= self.cap || self.pages >= self.page_budget
+        self.reqs.push(req);
+        self.bytes.push(bytes);
+        self.reqs.len() >= self.cap || self.pages >= self.page_budget
     }
 
     /// No queued requests?
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.reqs.is_empty()
     }
 
     /// Queued request count.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.reqs.len()
     }
 
     /// Total queued pages.
@@ -56,15 +62,21 @@ impl SwapBatch {
         self.pages
     }
 
-    /// The queued `(request, byte size)` pairs, in push order.
-    pub fn entries(&self) -> &[(SwapRequest, u64)] {
-        &self.entries
+    /// The queued requests, in push order.
+    pub fn requests(&self) -> &[SwapRequest] {
+        &self.reqs
     }
 
-    /// Drain the batch for execution, resetting it for reuse.
-    pub fn take(&mut self) -> Vec<(SwapRequest, u64)> {
+    /// The byte size queued with request `i`.
+    pub fn bytes(&self, i: usize) -> u64 {
+        self.bytes[i]
+    }
+
+    /// Empty the batch for reuse, keeping its buffers.
+    pub fn clear(&mut self) {
+        self.reqs.clear();
+        self.bytes.clear();
         self.pages = 0;
-        std::mem::take(&mut self.entries)
     }
 }
 
@@ -87,10 +99,13 @@ mod tests {
         assert!(!b.push(req(1), 4096));
         assert!(b.push(req(1), 4096), "second push hits the cap");
         assert_eq!(b.len(), 2);
-        let taken = b.take();
-        assert_eq!(taken.len(), 2);
+        assert_eq!(b.requests(), &[req(1), req(1)]);
+        assert_eq!(b.bytes(1), 4096);
+        b.clear();
         assert!(b.is_empty());
-        assert_eq!(b.pages(), 0, "take resets the page count");
+        assert_eq!(b.pages(), 0, "clear resets the page count");
+        assert!(!b.push(req(3), 3 * 4096), "a cleared batch counts afresh");
+        assert_eq!(b.bytes(0), 3 * 4096);
     }
 
     #[test]

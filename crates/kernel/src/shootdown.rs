@@ -19,6 +19,10 @@ fn victim_bit(core: usize) -> u64 {
     1u64 << core
 }
 
+/// Cycles a tracked shootdown spends per core reading the tracking state
+/// that says whether the core holds the address space (one cached lookup).
+pub const TRACKING_CHECK_PER_CORE: u64 = 8;
+
 /// When/where SwapVA flushes TLBs after updating PTEs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlushMode {
@@ -106,8 +110,7 @@ impl Kernel {
     pub fn flush_asid_tracked(&mut self, initiator: CoreId, asid: Asid) -> (Cycles, Interference) {
         let costs = self.machine.costs;
         let mut t = self.flush_tlb_local(initiator, asid);
-        // Consulting the tracking state costs a lookup per core.
-        t += Cycles(self.machine.cores as u64 * 8);
+        t += Cycles(self.machine.cores as u64 * TRACKING_CHECK_PER_CORE);
         let mut targets = 0u64;
         let mut victims = 0u64;
         for core in 0..self.machine.cores {

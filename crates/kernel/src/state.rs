@@ -298,17 +298,22 @@ impl Kernel {
     /// threshold.
     pub(crate) fn touch_pt_level(&mut self, va: VirtAddr, level: u8) -> Cycles {
         self.perf.pt_level_accesses += 1;
-        let latency = if self.instrumented() {
-            let shift = 12 + 9 * (3 - level as u64).min(3);
-            let idx = va.get() >> shift;
-            let pa = PhysAddr(PT_SHADOW_BASE + (level as u64) * (1 << 40) + idx * 8);
-            self.cache_access(pa, AccessKind::Read)
-        } else {
-            // Page-table lines are hot by construction (walked over and
-            // over; the very premise of PMD caching): L2-ish latency.
-            Cycles(self.machine.costs.l2_hit)
-        };
-        Cycles(self.machine.costs.pt_level_access) + latency
+        if !self.instrumented() {
+            return self.hot_pt_level_cost();
+        }
+        let shift = 12 + 9 * (3 - level as u64).min(3);
+        let idx = va.get() >> shift;
+        let pa = PhysAddr(PT_SHADOW_BASE + (level as u64) * (1 << 40) + idx * 8);
+        Cycles(self.machine.costs.pt_level_access) + self.cache_access(pa, AccessKind::Read)
+    }
+
+    /// One walked level when uninstrumented: page-table lines are hot by
+    /// construction (walked over and over; the very premise of PMD
+    /// caching), so every level costs an L2-ish latency on top of the
+    /// access itself, whatever its address.
+    #[inline]
+    pub(crate) fn hot_pt_level_cost(&self) -> Cycles {
+        Cycles(self.machine.costs.pt_level_access + self.machine.costs.l2_hit)
     }
 
     // ---- TLB-mediated translation --------------------------------------

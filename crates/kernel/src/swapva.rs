@@ -23,7 +23,9 @@ use crate::shootdown::{FlushMode, Interference};
 use crate::state::{CoreId, Kernel};
 use crate::wal::WalOp;
 use svagc_metrics::{Cycles, TraceKind};
-use svagc_vmem::{AddressSpace, PmdCache, VirtAddr, VmError, PAGE_SIZE, WALK_LEVELS_FULL};
+use svagc_vmem::{
+    AddressSpace, PmdCache, VirtAddr, VmError, PAGE_SIZE, WALK_LEVELS_CACHED, WALK_LEVELS_FULL,
+};
 
 /// One swap request: exchange `pages` pages at `a` with `pages` pages at `b`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -301,27 +303,19 @@ impl Kernel {
             return Ok(t);
         }
 
-        let costs = self.machine.costs;
+        // Both ranges are validated before any PTE moves, so a failure
+        // cannot leave a half-swapped mapping: `swap_pte_ranges` checks
+        // every page first, and a recorded swap reads them all beforehand.
+        // The raw PTEs double as the undo record's pre-images: undo
+        // installs them verbatim, which is idempotent whether or not the
+        // swap below ever ran.
         let mut t = Cycles::ZERO;
-        // One PMD cache per operand: src and dst live in different PTE
-        // tables, so a single-slot cache would thrash between them.
-        let mut cache_a = PmdCache::new();
-        let mut cache_b = PmdCache::new();
-
-        // Validate both ranges up front so a failure cannot leave a
-        // half-swapped mapping. The raw PTEs double as the undo record's
-        // pre-images: undo installs them verbatim, which is idempotent
-        // whether or not the swap below ever ran.
-        let recording = self.wal_recording();
-        let ptes = self.wal.live_pre.ptes.len();
-        for i in 0..req.pages {
-            let ra = space.page_table().read_pte_raw(req.a.add_pages(i))?;
-            let rb = space.page_table().read_pte_raw(req.b.add_pages(i))?;
-            if recording {
-                self.wal.live_pre.ptes.extend([ra, rb]);
-            }
-        }
-        if recording {
+        if self.wal_recording() {
+            let ptes = self.wal.live_pre.ptes.len();
+            let pre = &mut self.wal.live_pre.ptes;
+            space
+                .page_table()
+                .visit_pte_pairs(req.a, req.b, req.pages, |ra, rb| pre.extend([ra, rb]))?;
             // Write-ahead: the record (durable, in a durable epoch) exists
             // before any PTE moves.
             let op = WalOp::PteSwap {
@@ -334,19 +328,54 @@ impl Kernel {
                 .wal_record(op, true)
                 .map_err(|point| SwapVaError::Crashed { point })?;
         }
+        space
+            .page_table_mut()
+            .swap_pte_ranges(req.a, req.b, req.pages)?;
+        Ok(t + self.swap_walk_cost(req, opts.pmd_cache))
+    }
 
-        for i in 0..req.pages {
-            let va1 = req.a.add_pages(i);
-            let va2 = req.b.add_pages(i);
-            t += self.get_pte_cost(va1, &mut cache_a, opts.pmd_cache);
-            t += self.get_pte_cost(va2, &mut cache_b, opts.pmd_cache);
-            // pte_offset_map_lock / pte_unmap_unlock on both tables.
-            t += Cycles(2 * costs.lock_unlock);
-            space.page_table_mut().swap_ptes(va1, va2)?;
-            t += Cycles(costs.pte_swap);
-            self.perf.pte_swaps += 1;
+    /// What Algorithm 1's loop charges for `req`'s pages: per page, a
+    /// `GETPTE` walk of each operand (one [`PmdCache`] per operand: src
+    /// and dst live in different PTE tables, so a single-slot cache would
+    /// thrash between them), the lock and unlock of both PTE tables, and
+    /// the exchange.
+    ///
+    /// Uninstrumented, every walked level costs the same, so the walks are
+    /// charged in closed form: a cold per-operand cache misses once for
+    /// each 2 MiB prefix a range spans (its pages ascend, so each prefix
+    /// is entered once) and hits on every other page. Instrumented, each
+    /// level's page-table shadow line must reach the cache model in the
+    /// per-page order, so the loop stays.
+    fn swap_walk_cost(&mut self, req: SwapRequest, pmd_cache: bool) -> Cycles {
+        let costs = self.machine.costs;
+        let per_page = Cycles(2 * costs.lock_unlock + costs.pte_swap);
+        self.perf.pte_swaps += req.pages;
+        if self.instrumented() {
+            let mut cache_a = PmdCache::new();
+            let mut cache_b = PmdCache::new();
+            let mut t = Cycles::ZERO;
+            for i in 0..req.pages {
+                t += self.get_pte_cost(req.a.add_pages(i), &mut cache_a, pmd_cache);
+                t += self.get_pte_cost(req.b.add_pages(i), &mut cache_b, pmd_cache);
+                t += per_page;
+            }
+            return t;
         }
-        Ok(t)
+        let mut levels = 0;
+        for base in [req.a, req.b] {
+            if pmd_cache {
+                let last = base.add_pages(req.pages - 1);
+                let misses = last.pmd_prefix() - base.pmd_prefix() + 1;
+                let hits = req.pages - misses;
+                self.perf.pmd_cache_hits += hits;
+                levels += misses * u64::from(WALK_LEVELS_FULL)
+                    + hits * u64::from(WALK_LEVELS_CACHED);
+            } else {
+                levels += req.pages * u64::from(WALK_LEVELS_FULL);
+            }
+        }
+        self.perf.pt_level_accesses += levels;
+        self.hot_pt_level_cost() * levels + per_page * req.pages
     }
 
     /// Cost of one `GETPTE` walk, with or without PMD caching.
@@ -403,6 +432,161 @@ mod tests {
                 tag * 1_000_000 + i,
                 "word {i}"
             );
+        }
+    }
+
+    /// Algorithm 1's disjoint path as a per-page loop: six radix walks and
+    /// two `PmdCache` probes per page pair. The leaf-run body replaced it;
+    /// it is kept verbatim as that body's differential reference.
+    fn per_page_body(
+        k: &mut Kernel,
+        space: &mut AddressSpace,
+        req: SwapRequest,
+        opts: SwapVaOptions,
+    ) -> Result<Cycles, SwapVaError> {
+        let costs = k.machine.costs;
+        let mut t = Cycles::ZERO;
+        let mut cache_a = PmdCache::new();
+        let mut cache_b = PmdCache::new();
+        let recording = k.wal_recording();
+        let ptes = k.wal.live_pre.ptes.len();
+        for i in 0..req.pages {
+            let ra = space.page_table().read_pte_raw(req.a.add_pages(i))?;
+            let rb = space.page_table().read_pte_raw(req.b.add_pages(i))?;
+            if recording {
+                k.wal.live_pre.ptes.extend([ra, rb]);
+            }
+        }
+        if recording {
+            let op = WalOp::PteSwap {
+                a: req.a,
+                b: req.b,
+                pages: req.pages,
+                ptes,
+            };
+            t += k
+                .wal_record(op, true)
+                .map_err(|point| SwapVaError::Crashed { point })?;
+        }
+        for i in 0..req.pages {
+            let va1 = req.a.add_pages(i);
+            let va2 = req.b.add_pages(i);
+            t += k.get_pte_cost(va1, &mut cache_a, opts.pmd_cache);
+            t += k.get_pte_cost(va2, &mut cache_b, opts.pmd_cache);
+            t += Cycles(2 * costs.lock_unlock);
+            space.page_table_mut().swap_ptes(va1, va2)?;
+            t += Cycles(costs.pte_swap);
+            k.perf.pte_swaps += 1;
+        }
+        Ok(t)
+    }
+
+    /// Raw PTE words of `pages` pages at `base` (0 where no table exists).
+    fn raw_ptes(s: &AddressSpace, base: VirtAddr, pages: u64) -> Vec<u64> {
+        (0..pages)
+            .map(|i| s.page_table().pte(base.add_pages(i)).map_or(0, |p| p.raw()))
+            .collect()
+    }
+
+    /// Random disjoint geometries: ranges that cross 512-page leaf tables
+    /// and 2 MiB prefixes on either side, ranges in separate PUD subtrees,
+    /// and both ranges in one leaf table; PMD caching and instrumented
+    /// mode toggled; inside an open (volatile or durable) undo epoch. Twin
+    /// kernels with identical histories run the leaf-run body and the
+    /// per-page loop, and must agree on cycles, every counter, both ranges'
+    /// PTEs and the pre-image arena; with a page of either range (or the
+    /// same page of both) unmapped, on the error, with neither range
+    /// changed.
+    #[test]
+    fn leaf_run_body_matches_per_page_loop() {
+        use svagc_metrics::SimRng;
+        for case in 0..96u64 {
+            let seed = 0x5a_0000 + case;
+            let mut rng = SimRng::seed_from_u64(seed);
+            let pmd_cache = rng.gen_range(0..4u32) != 0;
+            let instrumented = rng.gen_range(0..2u32) == 0;
+            let durable = rng.gen_range(0..2u32) == 0;
+            let (a, b, pages) = match rng.gen_range(0..3u32) {
+                // Separate PUD subtrees, anywhere within three leaf tables.
+                0 => {
+                    let pages = rng.gen_range(1..1100u64);
+                    let a = VirtAddr(0x4000_0000).add_pages(rng.gen_range(0..1536u64));
+                    let b = VirtAddr(0x80_0000_0000).add_pages(rng.gen_range(0..1536u64));
+                    (a, b, pages)
+                }
+                // One after the other in the same region.
+                1 => {
+                    let pages = rng.gen_range(1..700u64);
+                    let a = VirtAddr(0x4000_0000).add_pages(rng.gen_range(0..1024u64));
+                    let b = a.add_pages(pages + rng.gen_range(0..600u64));
+                    (a, b, pages)
+                }
+                // Both in one leaf table.
+                _ => {
+                    let pages = rng.gen_range(1..200u64);
+                    let gap = rng.gen_range(0..512 - 2 * pages);
+                    let x = rng.gen_range(0..512 - 2 * pages - gap + 1);
+                    let lo = VirtAddr(0x4000_0000).add_pages(512 + x);
+                    (lo, lo.add_pages(pages + gap), pages)
+                }
+            };
+            let (a, b) = if rng.gen_range(0..2u32) == 0 { (a, b) } else { (b, a) };
+            let req = SwapRequest { a, b, pages };
+            // A hole at page `j` of a, of b, or of both (a's is reported).
+            let holes: Vec<VirtAddr> = if rng.gen_range(0..3u32) == 0 {
+                let j = rng.gen_range(0..pages);
+                match rng.gen_range(0..3u32) {
+                    0 => vec![a.add_pages(j)],
+                    1 => vec![b.add_pages(j)],
+                    _ => vec![a.add_pages(j), b.add_pages(j)],
+                }
+            } else {
+                Vec::new()
+            };
+            let opts = SwapVaOptions {
+                pmd_cache,
+                ..SwapVaOptions::pinned()
+            };
+            let ctx = format!(
+                "case {case} (seed {seed:#x}): {req:?} pmd_cache {pmd_cache} \
+                 instrumented {instrumented} durable {durable} holes {holes:?}"
+            );
+            let build = || {
+                let (mut k, mut s) = setup(2 * pages as u32 + 8);
+                k.vmem.map_pages(&mut s, a, pages).unwrap();
+                k.vmem.map_pages(&mut s, b, pages).unwrap();
+                for &va in &holes {
+                    k.vmem.unmap_pages(&mut s, va, 1).unwrap();
+                }
+                k.set_instrumented(instrumented);
+                k.set_wal_enabled(durable);
+                k.wal_cycle_begin(vec![]);
+                (k, s)
+            };
+            let (mut k_new, mut s_new) = build();
+            let (mut k_ref, mut s_ref) = build();
+            let before = (raw_ptes(&s_new, a, pages), raw_ptes(&s_new, b, pages));
+            // Three rounds: the second and third swap back and forth over
+            // the cache state (and arena) the earlier rounds left.
+            for round in 0..3 {
+                let got = k_new.swap_va_body(&mut s_new, CoreId(0), req, opts);
+                let want = per_page_body(&mut k_ref, &mut s_ref, req, opts);
+                let ctx = format!("{ctx} round {round}");
+                assert_eq!(got, want, "{ctx}");
+                assert_eq!(k_new.perf, k_ref.perf, "{ctx}");
+                for base in [a, b] {
+                    let ptes_new = raw_ptes(&s_new, base, pages);
+                    assert_eq!(ptes_new, raw_ptes(&s_ref, base, pages), "{ctx}");
+                }
+                assert_eq!(k_new.wal.live_pre.ptes, k_ref.wal.live_pre.ptes, "{ctx}");
+                if let Some(&va) = holes.first() {
+                    assert_eq!(got, Err(SwapVaError::Vm(VmError::NotMapped(va))), "{ctx}");
+                    let after = (raw_ptes(&s_new, a, pages), raw_ptes(&s_new, b, pages));
+                    assert_eq!(after, before, "{ctx}: a failed swap changed a PTE");
+                }
+            }
+            let stats = |k: &Kernel| format!("{:?}", k.wal_stats());
+            assert_eq!(stats(&k_new), stats(&k_ref), "{ctx}");
         }
     }
 

@@ -213,8 +213,91 @@ impl PageTable {
         Ok(())
     }
 
-    /// Exchange the PTEs of two mapped pages (the core of Algorithm 1,
-    /// line 16). Both must be present.
+    /// The PTEs from `va` to the end of its 512-entry leaf table, or `None`
+    /// when no leaf table covers `va`. One radix walk serves every page of
+    /// the run.
+    #[inline]
+    fn leaf_run(&self, va: VirtAddr) -> Option<&[Pte]> {
+        self.pte_table(va).map(|t| &t.entries[va.pte_index()..])
+    }
+
+    /// Call `f(a_i, b_i)` with the raw PTE words of each page pair
+    /// `(a + i, b + i)`, `i` ascending, stopping at the first page that is
+    /// not present with `NotMapped` — `a_i` is checked before `b_i`, so
+    /// the error names the page a per-page `read_pte_raw` loop would. Each
+    /// operand's leaf table is walked once per run; runs end where either
+    /// side crosses a leaf-table boundary.
+    pub fn visit_pte_pairs(
+        &self,
+        a: VirtAddr,
+        b: VirtAddr,
+        pages: u64,
+        mut f: impl FnMut(u64, u64),
+    ) -> Result<(), VmError> {
+        let mut done = 0;
+        while done < pages {
+            let (va, vb) = (a.add_pages(done), b.add_pages(done));
+            let n = run_len(va, vb, pages - done);
+            let ra = self.leaf_run(va).map(|r| &r[..n]);
+            let rb = self.leaf_run(vb).map(|r| &r[..n]);
+            for i in 0..n {
+                let pa = ra.map_or(Pte::NONE, |r| r[i]);
+                if !pa.present() {
+                    return Err(VmError::NotMapped(va.add_pages(i as u64)));
+                }
+                let pb = rb.map_or(Pte::NONE, |r| r[i]);
+                if !pb.present() {
+                    return Err(VmError::NotMapped(vb.add_pages(i as u64)));
+                }
+                f(pa.raw(), pb.raw());
+            }
+            done += n as u64;
+        }
+        Ok(())
+    }
+
+    /// Exchange the PTEs of the `pages`-page ranges at `a` and `b`, page
+    /// `i` with page `i` (Algorithm 1, line 16, for a whole request). Every
+    /// page of both ranges must be present; on error nothing has changed
+    /// and the error is [`PageTable::visit_pte_pairs`]'s. The ranges must
+    /// not overlap.
+    ///
+    /// Each run (split at either side's leaf-table boundary, and into
+    /// pieces of at most `SWAP_CHUNK` pages) copies `a`'s entries into a
+    /// stack buffer, swaps them with `b`'s, and writes `b`'s old entries
+    /// back over `a`'s: three walks per run, not six per page. Present
+    /// entries trade places, so the mapped count stays as it is.
+    pub fn swap_pte_ranges(&mut self, a: VirtAddr, b: VirtAddr, pages: u64) -> Result<(), VmError> {
+        debug_assert!(
+            a == b || a.get().abs_diff(b.get()) >= pages * crate::addr::PAGE_SIZE,
+            "swap_pte_ranges: overlapping ranges {a:?}/{b:?} of {pages} pages"
+        );
+        self.visit_pte_pairs(a, b, pages, |_, _| {})?;
+        let mut buf = [Pte::NONE; SWAP_CHUNK];
+        let mut done = 0;
+        while done < pages {
+            let (va, vb) = (a.add_pages(done), b.add_pages(done));
+            let n = run_len(va, vb, pages - done).min(SWAP_CHUNK);
+            let buf = &mut buf[..n];
+            buf.copy_from_slice(&self.leaf_run(va).expect("validated above")[..n]);
+            self.leaf_run_mut(vb)[..n].swap_with_slice(buf);
+            self.leaf_run_mut(va)[..n].copy_from_slice(buf);
+            done += n as u64;
+        }
+        Ok(())
+    }
+
+    /// The mutable form of [`PageTable::leaf_run`], for a `va` whose leaf
+    /// table is known to exist.
+    fn leaf_run_mut(&mut self, va: VirtAddr) -> &mut [Pte] {
+        let table = self
+            .pte_table_mut(va, false)
+            .expect("swap_pte_ranges validates both ranges before writing");
+        &mut table.entries[va.pte_index()..]
+    }
+
+    /// Exchange the PTEs of two mapped pages: [`PageTable::swap_pte_ranges`]
+    /// for one page. Both must be present.
     ///
     /// ```
     /// use svagc_vmem::{FrameId, PageTable, Pte, PteFlags, VirtAddr};
@@ -228,12 +311,21 @@ impl PageTable {
     /// assert_eq!(pt.pte(b).unwrap().frame(), FrameId(7));
     /// ```
     pub fn swap_ptes(&mut self, va1: VirtAddr, va2: VirtAddr) -> Result<(), VmError> {
-        let a = self.read_pte_raw(va1)?;
-        let b = self.read_pte_raw(va2)?;
-        self.write_pte_raw(va1, b)?;
-        self.write_pte_raw(va2, a)?;
-        Ok(())
+        self.swap_pte_ranges(va1, va2, 1)
     }
+}
+
+/// Entries [`PageTable::swap_pte_ranges`] moves through its stack buffer
+/// at a time: a small buffer is cheap to set up on every call, and one run
+/// of this many pages already amortizes its three walks.
+const SWAP_CHUNK: usize = 64;
+
+/// Pages from `a` and `b` (at most `left`) before either crosses into the
+/// next leaf table.
+#[inline]
+fn run_len(a: VirtAddr, b: VirtAddr, left: u64) -> usize {
+    let room = ENTRIES_PER_TABLE - a.pte_index().max(b.pte_index());
+    room.min(usize::try_from(left).unwrap_or(usize::MAX))
 }
 
 /// The PMD walk cache of Fig. 7: consecutive pages usually share a PTE
@@ -345,6 +437,104 @@ mod tests {
         assert_eq!(pt.pte(a).unwrap().frame(), FrameId(20));
         assert_eq!(pt.pte(b).unwrap().frame(), FrameId(10));
         assert_eq!(pt.mapped_pages(), 2);
+    }
+
+    /// Map `pages` pages at `base` to frames `first`, `first + 1`, ….
+    fn map_run(pt: &mut PageTable, base: VirtAddr, pages: u64, first: u32) {
+        for i in 0..pages {
+            let pte = Pte::map(FrameId(first + i as u32), PteFlags::WRITABLE);
+            pt.map(base.add_pages(i), pte).unwrap();
+        }
+    }
+
+    fn frames(pt: &PageTable, base: VirtAddr, pages: u64) -> Vec<Option<u32>> {
+        (0..pages)
+            .map(|i| pt.pte(base.add_pages(i)).filter(|p| p.present()).map(|p| p.frame().0))
+            .collect()
+    }
+
+    #[test]
+    fn leaf_run_ends_at_the_table_boundary() {
+        let mut pt = PageTable::new();
+        let base = va(0x4000_0000);
+        map_run(&mut pt, base, 600, 1);
+        assert_eq!(pt.leaf_run(base).unwrap().len(), 512);
+        assert_eq!(pt.leaf_run(base.add_pages(500)).unwrap().len(), 12);
+        assert_eq!(pt.leaf_run(base.add_pages(512)).unwrap().len(), 512);
+        assert_eq!(pt.leaf_run(base.add_pages(511)).unwrap()[0].frame(), FrameId(512));
+        assert!(pt.leaf_run(va(0x8000_0000)).is_none(), "no table, no run");
+    }
+
+    #[test]
+    fn swap_pte_ranges_crosses_leaf_tables_on_either_side() {
+        // a crosses its table boundary after 12 pages, b after 300.
+        let mut pt = PageTable::new();
+        let a = va(0x4000_0000).add_pages(500);
+        let b = va(0x8000_0000).add_pages(212);
+        map_run(&mut pt, a, 700, 1000);
+        map_run(&mut pt, b, 700, 5000);
+        pt.swap_pte_ranges(a, b, 700).unwrap();
+        let want_a: Vec<_> = (5000..5700).map(Some).collect();
+        let want_b: Vec<_> = (1000..1700).map(Some).collect();
+        assert_eq!(frames(&pt, a, 700), want_a);
+        assert_eq!(frames(&pt, b, 700), want_b);
+        assert_eq!(pt.mapped_pages(), 1400);
+    }
+
+    #[test]
+    fn swap_pte_ranges_within_one_leaf_table() {
+        let mut pt = PageTable::new();
+        let base = va(0x4000_0000);
+        map_run(&mut pt, base, 512, 0);
+        pt.swap_pte_ranges(base.add_pages(300), base.add_pages(10), 40)
+            .unwrap();
+        let got = frames(&pt, base, 512);
+        for (i, f) in got.into_iter().enumerate() {
+            let want = match i {
+                10..=49 => i + 290,
+                300..=339 => i - 290,
+                _ => i,
+            };
+            assert_eq!(f, Some(want as u32), "page {i}");
+        }
+    }
+
+    #[test]
+    fn swap_pte_ranges_reports_the_first_missing_page_and_changes_nothing() {
+        let mut pt = PageTable::new();
+        let a = va(0x4000_0000).add_pages(508);
+        let b = va(0x8000_0000);
+        map_run(&mut pt, a, 8, 100);
+        map_run(&mut pt, b, 8, 200);
+        pt.unmap(b.add_pages(6)).unwrap();
+        pt.unmap(a.add_pages(6)).unwrap();
+        pt.unmap(b.add_pages(5)).unwrap();
+        // Page 5 of b fails before page 6 of a; a_6 would fail before b_6.
+        assert_eq!(
+            pt.swap_pte_ranges(a, b, 8),
+            Err(VmError::NotMapped(b.add_pages(5)))
+        );
+        assert_eq!(
+            pt.swap_pte_ranges(a.add_pages(6), b.add_pages(6), 2),
+            Err(VmError::NotMapped(a.add_pages(6)))
+        );
+        let mut seen = Vec::new();
+        assert_eq!(
+            pt.visit_pte_pairs(a, b, 8, |x, y| seen.push((x, y))),
+            Err(VmError::NotMapped(b.add_pages(5)))
+        );
+        assert_eq!(seen.len(), 5, "pairs before the first missing page");
+        let mut want_a: Vec<_> = (100..108).map(Some).collect();
+        want_a[6] = None;
+        let mut want_b: Vec<_> = (200..208).map(Some).collect();
+        want_b[5] = None;
+        want_b[6] = None;
+        assert_eq!(frames(&pt, a, 8), want_a);
+        assert_eq!(frames(&pt, b, 8), want_b);
+        // A missing leaf table on either side is a missing page too.
+        let far = va(0xC000_0000);
+        assert_eq!(pt.swap_pte_ranges(a, far, 2), Err(VmError::NotMapped(far)));
+        assert_eq!(pt.swap_pte_ranges(far, a, 2), Err(VmError::NotMapped(far)));
     }
 
     #[test]

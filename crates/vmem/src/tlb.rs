@@ -69,6 +69,13 @@ impl TlbConfig {
 /// wherever validity changes (`insert`, `flush_*`; lookups never change
 /// it). It answers the tracked shootdown's "does this core hold the
 /// ASID?" in O(1) and lets `flush_asid` skip arrays that hold none of it.
+///
+/// `occupied` has one bit per set, set by every insert that fills an
+/// invalid way and cleared only when a flush leaves its set with no valid
+/// way, so a clear bit means an empty set. `flush_all` and both
+/// `flush_asid` paths visit only the sets whose bit is on: invalidating
+/// an empty set changes nothing, so the flushed state is the full scan's,
+/// in time proportional to the sets filled since the last flush.
 #[derive(Debug)]
 struct TlbArray {
     sets: usize,
@@ -82,6 +89,8 @@ struct TlbArray {
     /// `(asid, valid entries)` for every ASID with at least one valid
     /// entry. Runs hold one to a few ASIDs, so a linear table suffices.
     resident: Vec<(u16, u32)>,
+    /// One bit per set: on if the set may hold a valid way.
+    occupied: Vec<u64>,
 }
 
 /// The tag of an invalid way. [`tag_of`] never produces it: it would need
@@ -117,6 +126,7 @@ impl TlbArray {
             tags: vec![INVALID; entries],
             frames: vec![FrameId::default(); entries],
             resident: Vec::new(),
+            occupied: vec![0; sets.div_ceil(64)],
         }
     }
 
@@ -196,16 +206,20 @@ impl TlbArray {
     /// kernel inserts only after a miss).
     #[inline]
     fn insert(&mut self, asid: Asid, vpn: u64, frame: FrameId) {
-        let base = self.set_of(vpn) * self.ways;
-        let set = &self.tags[base..base + self.ways];
-        let victim = set
+        let set = self.set_of(vpn);
+        let base = set * self.ways;
+        let ways = &self.tags[base..base + self.ways];
+        let victim = ways
             .iter()
             .position(|&t| t == INVALID)
             .unwrap_or(self.ways - 1);
-        let old = set[victim];
+        let old = ways[victim];
         // Evicting a valid entry of the same ASID leaves its count as is.
         if old == INVALID {
             self.count_valid(asid.0);
+            // Evicting a valid way leaves the set's bit on: a set holding
+            // a valid way is always marked.
+            self.occupied[set / 64] |= 1 << (set % 64);
         } else if old as u16 != asid.0 {
             self.count_invalid(old as u16);
             self.count_valid(asid.0);
@@ -213,28 +227,52 @@ impl TlbArray {
         self.move_to_front(base, victim, tag_of(asid, vpn), frame);
     }
 
+    /// Invalidate, in every occupied set, the ways of `asid` (every way
+    /// when `None`), and clear the bit of each set left with no valid way.
+    fn flush_occupied(&mut self, asid: Option<u16>) {
+        for word in 0..self.occupied.len() {
+            let mut bits = self.occupied[word];
+            while bits != 0 {
+                let bit = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let base = (word * 64 + bit) * self.ways;
+                let set = &mut self.tags[base..base + self.ways];
+                let live = match asid {
+                    None => {
+                        set.fill(INVALID);
+                        false
+                    }
+                    Some(asid) => {
+                        for t in set.iter_mut() {
+                            if *t as u16 == asid {
+                                *t = INVALID;
+                            }
+                        }
+                        set.iter().any(|&t| t != INVALID)
+                    }
+                };
+                if !live {
+                    self.occupied[word] &= !(1 << bit);
+                }
+            }
+        }
+    }
+
     fn flush_all(&mut self) {
-        self.tags.fill(INVALID);
+        self.flush_occupied(None);
         self.resident.clear();
     }
 
     /// Invalidating a way that is already invalid changes nothing, so an
     /// array holding none of `asid` returns at once, and one holding only
-    /// `asid` invalidates every way without comparing tags.
+    /// `asid` invalidates every occupied set without comparing tags.
     fn flush_asid(&mut self, asid: Asid) {
         let Some(i) = self.resident.iter().position(|&(a, _)| a == asid.0) else {
             return;
         };
         self.resident.swap_remove(i);
-        if self.resident.is_empty() {
-            self.tags.fill(INVALID);
-            return;
-        }
-        for t in self.tags.iter_mut() {
-            if *t as u16 == asid.0 {
-                *t = INVALID;
-            }
-        }
+        let only = self.resident.is_empty();
+        self.flush_occupied((!only).then_some(asid.0));
     }
 
     fn flush_page(&mut self, asid: Asid, vpn: u64) {
@@ -619,7 +657,8 @@ mod tests {
         a.resident.retain(|&(x, _)| x != asid.0);
     }
 
-    /// The residency table must equal a brute-force scan of the entries.
+    /// The residency table must equal a brute-force scan of the entries,
+    /// and every set holding a valid way must be marked occupied.
     fn check_residency(a: &TlbArray) -> Result<(), String> {
         let mut scanned: Vec<(u16, u32)> = Vec::new();
         for &t in a.tags.iter() {
@@ -635,6 +674,14 @@ mod tests {
         scanned.sort_unstable();
         if table != scanned {
             return Err(format!("table {table:?} != scan {scanned:?}"));
+        }
+        for set in 0..a.sets {
+            let filled = a.tags[set * a.ways..(set + 1) * a.ways]
+                .iter()
+                .any(|&t| t != INVALID);
+            if filled && a.occupied[set / 64] & (1 << (set % 64)) == 0 {
+                return Err(format!("set {set} holds a valid way but is not marked occupied"));
+            }
         }
         if a.valid_count() != scanned_valid_count(a) {
             return Err("valid_count disagrees with a scan".into());

@@ -357,3 +357,80 @@ fn small_tlb_matches_stamp_lru() {
         differential_case(rng, small)
     });
 }
+
+/// Look up every `(asid, vpn)` the case inserted in both TLBs. Lookups
+/// move the same ways in both, so the sweep itself keeps them in step.
+fn sweep(t: &mut Tlb, m: &mut StampTlb, touched: &[(Asid, u64)]) -> Result<(), String> {
+    for &(asid, vpn) in touched {
+        let (got, want) = (t.lookup(asid, vpn), m.lookup(asid, vpn));
+        if got != want {
+            return Err(format!(
+                "sweep lookup({asid:?}, {vpn:#x}) gave {got:?}, model {want:?}"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Drive a [`Tlb`] and the stamp model with runs of consecutive VPNs, as a
+/// compaction's multi-page objects touch them: each run fills a stretch of
+/// sets at both levels, so a flush that skipped a filled set would leave
+/// live entries behind. After every flush, every VPN the case inserted is
+/// looked up in both. Half the cases use one ASID (every `flush_asid`
+/// takes the sole-ASID path), half use two (the tag-comparing path);
+/// `flush_all` sometimes follows a `flush_page`, which may leave a set
+/// empty but marked.
+fn run_case(rng: &mut SimRng, cfg: TlbConfig) -> Result<(), String> {
+    let asids = if rng.gen_range(0..2u32) == 0 {
+        vec![Asid(rng.gen_range(1..64u32) as u16)]
+    } else {
+        vec![Asid(rng.gen_range(1..64u32) as u16), Asid(rng.gen_range(64..128u32) as u16)]
+    };
+    let mut t = Tlb::new(cfg);
+    let mut m = StampTlb::new(cfg);
+    let mut touched: Vec<(Asid, u64)> = Vec::new();
+    let steps = rng.gen_range(10..40usize);
+    for step in 0..steps {
+        let asid = asids[rng.gen_range(0..asids.len())];
+        let op = rng.gen_range(0..10u32);
+        let what = match op {
+            0..=5 => {
+                let start = rng.gen_range(0..1u64 << 24);
+                let len = rng.gen_range(1..160u64);
+                (start..start + len).try_for_each(|vpn| {
+                    touched.push((asid, vpn));
+                    translate(&mut t, &mut m, rng, asid, vpn)
+                })
+            }
+            6 | 7 => {
+                t.flush_asid(asid);
+                m.l1.flush_asid(asid);
+                m.stlb.flush_asid(asid);
+                sweep(&mut t, &mut m, &touched)
+            }
+            _ => {
+                if let Some(&(a, vpn)) = touched.get(rng.gen_range(0..touched.len().max(1))) {
+                    t.flush_page(a, vpn);
+                    m.l1.flush_page(a, vpn);
+                    m.stlb.flush_page(a, vpn);
+                    sweep(&mut t, &mut m, &touched)?;
+                }
+                t.flush_all();
+                m.l1.flush_all();
+                m.stlb.flush_all();
+                sweep(&mut t, &mut m, &touched)
+            }
+        };
+        if let Err(e) = what.and_then(|()| same_observables(&t, &m, &asids)) {
+            return Err(format!("step {step} op {op} {asid:?} (asids {asids:?}): {e}"));
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn skylake_flushes_clear_every_filled_set() {
+    check("skylake_flushes_clear_every_filled_set", 0x7_1d00, 48, |rng| {
+        run_case(rng, TlbConfig::skylake())
+    });
+}
