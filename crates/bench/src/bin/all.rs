@@ -1,43 +1,47 @@
-//! Regenerates every figure, table, and ablation of the paper, in order,
-//! and emits the `BENCH_*.json` perf records.
+//! Regenerates the paper's figures, tables, and this reproduction's
+//! ablations from the experiment registry, and optionally emits the
+//! `BENCH_*.json` perf records.
 //!
-//! Flags:
+//! Usage: `all [--parallel] [--check] [--out DIR] [ID...]`
+//!
+//! * `ID...` — the experiments to run, in the order named (`all fig11`
+//!   prints Fig. 11 alone); with none, every registered experiment in
+//!   paper order.
 //! * `--parallel` — fan independent experiments across host threads
 //!   (width follows `SVAGC_HOST_THREADS` or the core count). Simulated
-//!   output is byte-identical to a serial run; a cheap serial probe
-//!   re-verifies that on every parallel run.
-//! * `--check` — after the main run, re-run EVERY experiment in the
-//!   other mode and fail on any simulated divergence (slow; ~2x).
-//! * `--out DIR` — where to write `BENCH_<id>.json` + `BENCH_summary.json`
-//!   (default: current directory).
-//! * `--no-bench-json` — skip writing BENCH files (text output only).
+//!   output is byte-identical to a serial run; the selected experiments
+//!   among `runner::DETERMINISM_PROBE_IDS` are re-run serially to
+//!   re-verify that, and no probe runs when none is selected.
+//! * `--check` — after the main run, re-run EVERY selected experiment in
+//!   the other mode and fail on any simulated divergence (slow; ~2x).
+//! * `--out DIR` — write `BENCH_<id>.json` + `BENCH_summary.json` into
+//!   DIR. Without it no file is written.
+//!
+//! Every argument is checked before anything runs: an unknown flag or an
+//! unknown or repeated id prints the usage text and exits with status 2.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 use svagc_bench::runner;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let parallel = args.iter().any(|a| a == "--parallel");
-    let check = args.iter().any(|a| a == "--check");
-    let write_json = !args.iter().any(|a| a == "--no-bench-json");
-    let out_dir = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("."));
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let args = match runner::parse_args(&raw) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("all: {e}\n{}", runner::usage());
+            return ExitCode::from(2);
+        }
+    };
 
-    let ids = runner::all_ids();
-    let outcomes = runner::run_ids(&ids, parallel);
+    let outcomes = runner::run_ids(&args.ids, args.parallel);
     for o in &outcomes {
         print!("{}", o.report.text());
     }
 
     let mut failures = Vec::new();
-    if check {
+    if args.check {
         // Full dual-mode comparison: run everything again the other way.
-        let other = runner::run_ids(&ids, !parallel);
+        let other = runner::run_ids(&args.ids, !args.parallel);
         for (a, b) in outcomes.iter().zip(&other) {
             if a.report.sim_json() != b.report.sim_json() {
                 failures.push(format!(
@@ -48,8 +52,8 @@ fn main() -> ExitCode {
                 ));
             }
         }
-    } else if parallel {
-        // Always-on cheap probe: a couple of fast experiments re-run
+    } else if args.parallel {
+        // Always-on cheap probe: the fast experiments of this run re-run
         // serially must reproduce the parallel run bit-for-bit.
         failures = runner::verify_against_serial(&outcomes, &runner::DETERMINISM_PROBE_IDS);
     }
@@ -57,14 +61,14 @@ fn main() -> ExitCode {
         eprintln!("determinism check FAILED: {f}");
     }
 
-    if write_json {
-        let files = runner::write_bench_files(&out_dir, &outcomes, parallel)
+    if let Some(dir) = &args.out {
+        let files = runner::write_bench_files(dir, &outcomes, args.parallel)
             .and_then(|mut v| {
-                v.push(runner::write_summary(&out_dir, &outcomes, parallel)?);
+                v.push(runner::write_summary(dir, &outcomes, args.parallel)?);
                 Ok(v)
             })
-            .unwrap_or_else(|e| panic!("cannot write BENCH files to {}: {e}", out_dir.display()));
-        eprintln!("wrote {} BENCH files under {}", files.len(), out_dir.display());
+            .unwrap_or_else(|e| panic!("cannot write BENCH files to {}: {e}", dir.display()));
+        eprintln!("wrote {} BENCH files under {}", files.len(), dir.display());
     }
 
     if failures.is_empty() {

@@ -4,11 +4,6 @@
 //! Usage: `perf_gate --baseline ci/perf-baseline.json --current /tmp/bench/BENCH_summary.json
 //!         [--wall-factor 20] [--wall-slack-ms 250]`
 //!
-//! The environment variable `SVAGC_GATE_WALL_MULT` multiplies the wall
-//! factor (after flags are applied) so slow CI runners can widen the
-//! host-time bound without editing every invocation; simulated metrics
-//! stay bit-exact regardless.
-//!
 //! Exits 0 when every simulated metric is bit-identical to the baseline
 //! and wall times stay under their bounds; exits 1 and prints every
 //! violation otherwise.
@@ -44,7 +39,6 @@ fn main() -> ExitCode {
     if let Some(s) = arg_value(&args, "--wall-slack-ms").and_then(|v| v.parse().ok()) {
         cfg.wall_slack_ms = s;
     }
-    cfg = cfg.with_env_wall_mult();
     let summary = std::fs::read_to_string(&current).ok().and_then(|t| parse_json(&t).ok());
     match summary.as_ref().and_then(rusage_report) {
         Some(table) => println!("host rusage (report only, no bound):\n{table}"),

@@ -39,33 +39,6 @@ impl Default for GateConfig {
     }
 }
 
-/// Environment variable that scales [`GateConfig::wall_factor`]. CI sets
-/// this on known-slow runners (emulated architectures, shared hosts)
-/// instead of editing the workflow's flag soup in N places.
-pub const GATE_WALL_MULT_ENV: &str = "SVAGC_GATE_WALL_MULT";
-
-impl GateConfig {
-    /// Multiply the wall-time factor by `mult` (from
-    /// [`GATE_WALL_MULT_ENV`] or a flag). Values that are not finite and
-    /// positive are ignored: a typo in a CI variable must never make the
-    /// gate *stricter* or disable it with a zero/NaN bound.
-    pub fn with_wall_mult(mut self, mult: f64) -> Self {
-        if mult.is_finite() && mult > 0.0 {
-            self.wall_factor *= mult;
-        }
-        self
-    }
-
-    /// Apply [`GATE_WALL_MULT_ENV`] from the process environment, if set
-    /// and parseable; otherwise return `self` unchanged.
-    pub fn with_env_wall_mult(self) -> Self {
-        match std::env::var(GATE_WALL_MULT_ENV).ok().and_then(|v| v.parse::<f64>().ok()) {
-            Some(m) => self.with_wall_mult(m),
-            None => self,
-        }
-    }
-}
-
 fn num_raw(v: &JsonValue) -> Option<&str> {
     match v {
         JsonValue::Num { raw, .. } => Some(raw),
@@ -300,41 +273,6 @@ mod tests {
         // Beyond the bound: violation.
         let errs = compare(&base, &summary("fnv1a:00000000deadbeef", 1, 21.1), &cfg);
         assert!(errs.iter().any(|e| e.contains("wall_ms")), "{errs:?}");
-    }
-
-    #[test]
-    fn wall_mult_scales_the_factor_and_rejects_nonsense() {
-        let base = GateConfig { wall_factor: 2.0, wall_slack_ms: 1.0 };
-        // A 10x multiplier lets a 25x-baseline wall time through.
-        let slow = summary("fnv1a:00000000deadbeef", 1, 250.0);
-        let fast = summary("fnv1a:00000000deadbeef", 1, 10.0);
-        assert!(compare(&fast, &slow, &base).iter().any(|e| e.contains("wall_ms")));
-        let widened = GateConfig { wall_factor: 2.0, wall_slack_ms: 1.0 }.with_wall_mult(20.0);
-        assert!(compare(&fast, &slow, &widened).is_empty());
-        // Zero, negative, and NaN multipliers are ignored — a broken CI
-        // variable must not tighten the gate or zero out the bound.
-        for bad in [0.0, -3.0, f64::NAN, f64::INFINITY] {
-            let cfg = GateConfig { wall_factor: 2.0, wall_slack_ms: 1.0 }.with_wall_mult(bad);
-            assert_eq!(cfg.wall_factor, 2.0, "mult {bad} should be ignored");
-        }
-    }
-
-    #[test]
-    fn env_wall_mult_is_read_when_set() {
-        // Serialised by being the only test in the binary touching this
-        // variable: set, read, restore.
-        std::env::set_var(GATE_WALL_MULT_ENV, "2.5");
-        let cfg = GateConfig { wall_factor: 4.0, wall_slack_ms: 1.0 }.with_env_wall_mult();
-        std::env::remove_var(GATE_WALL_MULT_ENV);
-        assert_eq!(cfg.wall_factor, 10.0);
-        // Unset: unchanged.
-        let cfg = GateConfig { wall_factor: 4.0, wall_slack_ms: 1.0 }.with_env_wall_mult();
-        assert_eq!(cfg.wall_factor, 4.0);
-        // Garbage: unchanged.
-        std::env::set_var(GATE_WALL_MULT_ENV, "speedy");
-        let cfg = GateConfig { wall_factor: 4.0, wall_slack_ms: 1.0 }.with_env_wall_mult();
-        std::env::remove_var(GATE_WALL_MULT_ENV);
-        assert_eq!(cfg.wall_factor, 4.0);
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! simulation and writes the paper-matching rows into a [`Report`] sink —
 //! aligned text tables plus `@json` row echoes on the text plane, rows /
 //! headline counters / derived scalars on the simulated plane (which the
-//! BENCH JSON emitter digests for the CI perf gate). The `bin/figNN_*`
-//! binaries and `bin/all` are thin wrappers over [`crate::runner`].
+//! BENCH JSON emitter digests for the CI perf gate). [`crate::runner`]
+//! registers each function as an experiment, and `bin/all [ID...]` runs
+//! them.
 
 use crate::micro;
 use crate::report::{fnv1a, ms, pct, x, Report, Table};

@@ -61,11 +61,6 @@ impl Table {
     }
 }
 
-/// Print a figure/table banner.
-pub fn banner(id: &str, caption: &str) {
-    println!("\n=== {id}: {caption} ===");
-}
-
 /// Version tag of the per-experiment BENCH JSON layout.
 pub const BENCH_REPORT_SCHEMA: &str = "svagc-bench-report-v1";
 

@@ -1,5 +1,5 @@
 //! The experiment registry and the serial / host-parallel runner behind
-//! `bin/all`, `bin/ablations`, and the thin `bin/figNN_*` wrappers.
+//! `bin/all`, the one entry point that runs any subset of it.
 //!
 //! Every entry in [`EXPERIMENTS`] is an independent simulation — it builds
 //! its own `Kernel`, `AddressSpace`, and counters — so fanning experiments
@@ -177,17 +177,8 @@ pub const EXPERIMENTS: &[Experiment] = &[
     },
 ];
 
-/// The five design-choice studies `bin/ablations` runs.
-pub const ABLATION_IDS: [&str; 5] = [
-    "ablation_threshold",
-    "ablation_aggregation",
-    "ablation_mechanism",
-    "ablation_los",
-    "ablation_minor",
-];
-
-/// Cheap experiments a parallel `bin/all` re-runs serially as an
-/// always-on determinism probe (milliseconds each).
+/// Cheap experiments a parallel `bin/all` re-runs serially, when it ran
+/// them, as an always-on determinism probe (milliseconds each).
 pub const DETERMINISM_PROBE_IDS: [&str; 2] = ["fig06", "fig08"];
 
 /// Look up an experiment by id.
@@ -231,7 +222,8 @@ pub fn run_experiment(exp: &Experiment) -> Outcome {
 /// Run `ids` serially or host-parallel. Output order always follows
 /// `ids`; with `parallel` only the host scheduling changes — each
 /// experiment is a self-contained simulation, so its simulated plane is
-/// identical either way (see `tests/parallel_determinism.rs`).
+/// identical either way (see `tests/parallel_determinism.rs`). Every id
+/// must be registered; [`parse_args`] checks that for `bin/all`.
 pub fn run_ids(ids: &[&str], parallel: bool) -> Vec<Outcome> {
     let exps: Vec<&'static Experiment> = ids
         .iter()
@@ -310,19 +302,18 @@ pub fn write_summary(dir: &Path, outcomes: &[Outcome], parallel: bool) -> std::i
     Ok(path)
 }
 
-/// Re-run `probe_ids` serially and byte-compare their canonical sim JSON
-/// against the already-collected `outcomes`; returns the mismatching ids.
+/// Re-run serially each of `outcomes` whose id is in `probe_ids` and
+/// byte-compare its canonical sim JSON with the collected one; returns
+/// the mismatching ids. Probe ids absent from `outcomes` are skipped, so
+/// a run of any subset can be probed.
 pub fn verify_against_serial(outcomes: &[Outcome], probe_ids: &[&str]) -> Vec<String> {
     let mut bad = Vec::new();
-    for id in probe_ids {
-        let Some(o) = outcomes.iter().find(|o| o.report.id() == *id) else {
-            bad.push(format!("{id}: not present in the parallel run"));
-            continue;
-        };
-        let serial = run_experiment(find(id).expect("probe id registered"));
+    for o in outcomes.iter().filter(|o| probe_ids.contains(&o.report.id())) {
+        let serial = run_experiment(find(o.report.id()).expect("outcome id registered"));
         if serial.report.sim_json() != o.report.sim_json() {
             bad.push(format!(
-                "{id}: parallel sim JSON diverged from serial ({} vs {})",
+                "{}: parallel sim JSON diverged from serial ({} vs {})",
+                o.report.id(),
                 o.report.sim_digest(),
                 serial.report.sim_digest()
             ));
@@ -331,27 +322,59 @@ pub fn verify_against_serial(outcomes: &[Outcome], probe_ids: &[&str]) -> Vec<St
     bad
 }
 
-/// Pull `--out DIR` out of a raw argument list (for the thin bins).
-fn parse_out(args: &[String]) -> Option<PathBuf> {
-    args.iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
+/// What one `bin/all` invocation asks for.
+#[derive(Debug, PartialEq)]
+pub struct Args {
+    /// The experiments to run, in the order named; the whole registry,
+    /// in registry order, when none is named.
+    pub ids: Vec<&'static str>,
+    /// Fan the experiments across host threads.
+    pub parallel: bool,
+    /// Re-run every experiment in the other mode and compare.
+    pub check: bool,
+    /// Where to write `BENCH_<id>.json` and `BENCH_summary.json`; no
+    /// files are written without it.
+    pub out: Option<PathBuf>,
 }
 
-/// Entry point of the thin `bin/figNN_*` / `bin/tableN_*` wrappers: run
-/// one experiment, print its text, and honor `--out DIR` by writing the
-/// `BENCH_<id>.json` record.
-pub fn main_single(id: &str) {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let exp = find(id).unwrap_or_else(|| panic!("{id} is not a registered experiment"));
-    let o = run_experiment(exp);
-    print!("{}", o.report.text());
-    if let Some(dir) = parse_out(&args) {
-        let paths = write_bench_files(&dir, std::slice::from_ref(&o), false)
-            .unwrap_or_else(|e| panic!("cannot write BENCH files to {}: {e}", dir.display()));
-        println!("wrote {}", paths[0].display());
+/// `bin/all`'s usage text, listing every registered id.
+pub fn usage() -> String {
+    format!(
+        "usage: all [--parallel] [--check] [--out DIR] [ID...]\n  \
+         --parallel  fan experiments across host threads; re-run serially any selected probe id ({})\n  \
+         --check     re-run every selected experiment in the other mode and compare\n  \
+         --out DIR   write BENCH_<id>.json and BENCH_summary.json into DIR\n\
+         ids (default: all, in this order): {}",
+        DETERMINISM_PROBE_IDS.join(" "),
+        all_ids().join(" ")
+    )
+}
+
+/// Parse `bin/all`'s arguments (program name excluded). Every argument is
+/// checked before anything runs: an unknown flag, a missing `--out`
+/// directory, or an unknown or repeated id is an error.
+pub fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args { ids: Vec::new(), parallel: false, check: false, out: None };
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--parallel" => parsed.parallel = true,
+            "--check" => parsed.check = true,
+            "--out" => parsed.out = Some(it.next().ok_or("--out needs a directory")?.into()),
+            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag:?}")),
+            id => {
+                let exp = find(id).ok_or_else(|| format!("unknown experiment {id:?}"))?;
+                if parsed.ids.contains(&exp.id) {
+                    return Err(format!("experiment {id:?} named twice"));
+                }
+                parsed.ids.push(exp.id);
+            }
+        }
     }
+    if parsed.ids.is_empty() {
+        parsed.ids = all_ids();
+    }
+    Ok(parsed)
 }
 
 #[cfg(test)]
@@ -372,9 +395,35 @@ mod tests {
         for probe in DETERMINISM_PROBE_IDS {
             assert!(find(probe).is_some());
         }
-        for ab in ABLATION_IDS {
-            assert!(find(ab).is_some());
+    }
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn no_ids_selects_the_whole_registry_and_named_ids_keep_their_order() {
+        let all = parse(&[]).unwrap();
+        assert_eq!(all, Args { ids: all_ids(), parallel: false, check: false, out: None });
+        let some = parse(&["--parallel", "fig12", "--out", "d", "fig11"]).unwrap();
+        assert_eq!(some.ids, ["fig12", "fig11"]);
+        assert!(some.parallel && !some.check);
+        assert_eq!(some.out, Some(PathBuf::from("d")));
+    }
+
+    #[test]
+    fn bad_arguments_are_rejected_before_anything_runs() {
+        for (args, msg) in [
+            (&["bogus"][..], "unknown experiment"),
+            (&["--bogus"], "unknown flag"),
+            (&["fig11", "fig11"], "named twice"),
+            (&["fig11", "--out"], "--out needs"),
+        ] {
+            let err = parse(args).unwrap_err();
+            assert!(err.contains(msg), "{args:?}: {err}");
         }
+        let usage = usage();
+        assert!(all_ids().iter().all(|id| usage.contains(id)), "{usage}");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Whole-benchmark experiments: Figs. 1, 2, 11-16 and Table III.
 //!
-//! Each function returns serializable rows; the `bin/figNN_*` binaries
-//! render them as tables + JSON. Everything is deterministic.
+//! Each function returns serializable rows; [`crate::render`] turns them
+//! into tables + JSON. Everything is deterministic.
 
 use svagc_metrics::{impl_to_json, par_map, MachineConfig};
 use svagc_workloads::driver::{run, CollectorKind, RunConfig, RunResult};

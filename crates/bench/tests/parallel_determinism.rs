@@ -9,6 +9,15 @@ use svagc_metrics::{parse_json, JsonValue};
 
 const IDS: [&str; 2] = ["fig06", "fig08"];
 
+/// The five design-choice studies (`all ablation_threshold ...`).
+const ABLATION_IDS: [&str; 5] = [
+    "ablation_threshold",
+    "ablation_aggregation",
+    "ablation_mechanism",
+    "ablation_los",
+    "ablation_minor",
+];
+
 #[test]
 fn representative_figures_are_bitwise_identical_serial_vs_parallel() {
     // Force a real fan-out even on single-core CI runners.
@@ -40,11 +49,11 @@ fn representative_figures_are_bitwise_identical_serial_vs_parallel() {
 fn bench_files_from_a_parallel_run_parse_and_match_serial_digests() {
     std::env::set_var("SVAGC_HOST_THREADS", "4");
     let dir = std::env::temp_dir().join(format!("svagc_bench_test_{}", std::process::id()));
-    let par = runner::run_ids(&runner::ABLATION_IDS, true);
+    let par = runner::run_ids(&ABLATION_IDS, true);
     runner::write_bench_files(&dir, &par, true).unwrap();
     runner::write_summary(&dir, &par, true).unwrap();
 
-    let serial = runner::run_ids(&runner::ABLATION_IDS, false);
+    let serial = runner::run_ids(&ABLATION_IDS, false);
     let summary =
         parse_json(&std::fs::read_to_string(dir.join("BENCH_summary.json")).unwrap()).unwrap();
     let entries = summary.get("experiments").and_then(JsonValue::as_arr).unwrap();

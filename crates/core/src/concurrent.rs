@@ -110,11 +110,6 @@ impl ConcurrentCollector {
         self.barrier_enabled = on;
     }
 
-    /// Is the deletion barrier armed?
-    pub fn barrier_enabled(&self) -> bool {
-        self.barrier_enabled
-    }
-
     /// Is a concurrent mark in flight?
     pub fn marking(&self) -> bool {
         self.marking.is_some()

@@ -7,7 +7,6 @@
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A deterministic count of simulated CPU cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -195,49 +194,6 @@ impl fmt::Display for SimTime {
     }
 }
 
-/// A thread-safe cycle accumulator.
-///
-/// Used where several host threads (e.g. rayon tasks generating workload
-/// data) charge costs against the same logical core. All updates are
-/// `Relaxed`: the counter is a statistic, not a synchronization point, and
-/// readers only observe it after the work is joined.
-#[derive(Debug, Default)]
-pub struct CycleCell {
-    cycles: AtomicU64,
-}
-
-impl CycleCell {
-    /// New zeroed cell.
-    pub fn new() -> CycleCell {
-        CycleCell::default()
-    }
-
-    /// Add `c` cycles.
-    #[inline]
-    pub fn charge(&self, c: Cycles) {
-        self.cycles.fetch_add(c.0, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> Cycles {
-        Cycles(self.cycles.load(Ordering::Relaxed))
-    }
-
-    /// Reset to zero, returning the previous value.
-    pub fn take(&self) -> Cycles {
-        Cycles(self.cycles.swap(0, Ordering::Relaxed))
-    }
-}
-
-impl Clone for CycleCell {
-    fn clone(&self) -> CycleCell {
-        CycleCell {
-            cycles: AtomicU64::new(self.cycles.load(Ordering::Relaxed)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,34 +230,5 @@ mod tests {
         assert_eq!(format!("{}", SimTime::from_nanos(2_500.0)), "2.500 us");
         assert_eq!(format!("{}", SimTime::from_millis(12.0)), "12.000 ms");
         assert_eq!(format!("{}", SimTime::from_millis(2000.0)), "2.000 s");
-    }
-
-    #[test]
-    fn cycle_cell_accumulates_and_takes() {
-        let cell = CycleCell::new();
-        cell.charge(Cycles(10));
-        cell.charge(Cycles(32));
-        assert_eq!(cell.get(), Cycles(42));
-        assert_eq!(cell.take(), Cycles(42));
-        assert_eq!(cell.get(), Cycles::ZERO);
-    }
-
-    #[test]
-    fn cycle_cell_is_thread_safe() {
-        let cell = std::sync::Arc::new(CycleCell::new());
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let c = cell.clone();
-                std::thread::spawn(move || {
-                    for _ in 0..1000 {
-                        c.charge(Cycles(1));
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(cell.get(), Cycles(8000));
     }
 }

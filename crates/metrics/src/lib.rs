@@ -28,7 +28,7 @@ pub mod trace;
 
 pub use bandwidth::BandwidthModel;
 pub use cache::{AccessKind, CacheGeometry, CacheHierarchy, CacheLevel, SetAssocCache};
-pub use cycles::{CycleCell, Cycles, SimTime};
+pub use cycles::{Cycles, SimTime};
 pub use host::{host_threads, par_map};
 pub use json::{parse_json, JsonError, JsonValue, ToJson};
 pub use machine::{CostParams, MachineConfig};

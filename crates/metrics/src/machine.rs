@@ -160,11 +160,6 @@ impl MachineConfig {
         self
     }
 
-    /// Bytes of DRAM bandwidth available per core cycle (aggregate).
-    pub fn bytes_per_cycle(&self) -> f64 {
-        self.dram_bandwidth_gbs / self.freq_ghz
-    }
-
     /// Cycles to copy `bytes` when `streams` independent copiers share the
     /// machine, with cache-tiered throughput:
     ///
