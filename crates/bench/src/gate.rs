@@ -13,9 +13,11 @@
 
 use crate::report::{pct, Table};
 use crate::runner::BENCH_SUMMARY_SCHEMA;
+use std::path::PathBuf;
 use svagc_metrics::{parse_json, JsonValue};
 
 /// Tolerances for the host plane. The simulated plane has none.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GateConfig {
     /// Allowed wall-time ratio current/baseline per experiment. Generous
     /// by default: the baseline machine and the CI runner can differ by
@@ -37,6 +39,64 @@ impl Default for GateConfig {
             wall_slack_ms: 250.0,
         }
     }
+}
+
+/// `bin/perf_gate`'s usage line.
+pub const USAGE: &str = "usage: perf_gate --baseline FILE --current FILE \
+                         [--wall-factor X] [--wall-slack-ms MS]";
+
+/// `bin/perf_gate`'s arguments.
+#[derive(Debug, PartialEq)]
+pub struct GateArgs {
+    /// The checked-in summary to compare against.
+    pub baseline: PathBuf,
+    /// The freshly generated summary.
+    pub current: PathBuf,
+    /// Host-plane tolerances; defaults unless overridden.
+    pub cfg: GateConfig,
+}
+
+/// Parse `bin/perf_gate`'s arguments (program name excluded). Every
+/// argument is checked before any file is read: an unknown or repeated
+/// flag, a flag without its value, a wall factor that is not a positive
+/// number, a slack that is not a non-negative number, or a missing
+/// `--baseline` or `--current` is an error.
+pub fn parse_gate_args(args: &[String]) -> Result<GateArgs, String> {
+    let (mut baseline, mut current) = (None, None);
+    let (mut factor, mut slack) = (None, None);
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
+        let slot = match flag.as_str() {
+            "--baseline" => &mut baseline,
+            "--current" => &mut current,
+            "--wall-factor" => &mut factor,
+            "--wall-slack-ms" => &mut slack,
+            other => return Err(format!("unknown argument {other:?}")),
+        };
+        let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+        if slot.replace(value.clone()).is_some() {
+            return Err(format!("{flag} given twice"));
+        }
+    }
+    let number = |flag: &str, value: Option<String>, min_ok: fn(f64) -> bool| match value {
+        None => Ok(None),
+        Some(v) => match v.parse::<f64>() {
+            Ok(x) if x.is_finite() && min_ok(x) => Ok(Some(x)),
+            _ => Err(format!("{flag} {v:?} is not a valid number")),
+        },
+    };
+    let mut cfg = GateConfig::default();
+    if let Some(f) = number("--wall-factor", factor, |x| x > 0.0)? {
+        cfg.wall_factor = f;
+    }
+    if let Some(s) = number("--wall-slack-ms", slack, |x| x >= 0.0)? {
+        cfg.wall_slack_ms = s;
+    }
+    Ok(GateArgs {
+        baseline: baseline.ok_or("--baseline FILE is required")?.into(),
+        current: current.ok_or("--current FILE is required")?.into(),
+        cfg,
+    })
 }
 
 fn num_raw(v: &JsonValue) -> Option<&str> {
@@ -233,6 +293,52 @@ mod tests {
              \"counters\":{{\"gc.pause_cycles\":{cycles}}},\"wall_ms\":{wall}}}]}}"
         ))
         .unwrap()
+    }
+
+    fn args(words: &str) -> Result<GateArgs, String> {
+        let v: Vec<String> = words.split_whitespace().map(String::from).collect();
+        parse_gate_args(&v)
+    }
+
+    #[test]
+    fn gate_args_parse_and_default() {
+        let a = args("--current c.json --baseline b.json").unwrap();
+        assert_eq!((a.baseline, a.current), ("b.json".into(), "c.json".into()));
+        assert_eq!(a.cfg, GateConfig::default());
+        let a = args("--baseline b --current c --wall-factor 2.5 --wall-slack-ms 0").unwrap();
+        assert_eq!(a.cfg, GateConfig { wall_factor: 2.5, wall_slack_ms: 0.0 });
+    }
+
+    #[test]
+    fn gate_args_reject_a_malformed_value() {
+        for bad in ["--wall-factor 8x", "--wall-factor 0", "--wall-factor -1", "--wall-factor NaN",
+            "--wall-factor inf", "--wall-slack-ms 250ms", "--wall-slack-ms -5"]
+        {
+            let e = args(&format!("--baseline b --current c {bad}")).unwrap_err();
+            assert!(e.contains("is not a valid number"), "{bad}: {e}");
+        }
+    }
+
+    #[test]
+    fn gate_args_reject_a_missing_value() {
+        for (words, want) in [
+            ("--baseline b --current c --wall-factor", "--wall-factor needs a value"),
+            ("--baseline b --current", "--current needs a value"),
+            ("--current c", "--baseline FILE is required"),
+            ("--baseline b", "--current FILE is required"),
+        ] {
+            assert_eq!(args(words).unwrap_err(), want);
+        }
+    }
+
+    #[test]
+    fn gate_args_reject_an_unknown_or_repeated_flag() {
+        let e = args("--baseline b --current c --wall-factr 2").unwrap_err();
+        assert!(e.contains("unknown argument \"--wall-factr\""), "{e}");
+        let e = args("--baseline b --current c stray").unwrap_err();
+        assert!(e.contains("unknown argument \"stray\""), "{e}");
+        let e = args("--baseline b --current c --baseline d").unwrap_err();
+        assert_eq!(e, "--baseline given twice");
     }
 
     #[test]

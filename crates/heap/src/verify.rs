@@ -1,7 +1,7 @@
 //! Post-phase heap verification: the oracle for chaos testing.
 //!
 //! [`HeapVerifier`] walks the heap *functionally* — through the kernel's
-//! uncosted, tier-aware page view (`Kernel::page_bytes_tiered`), never
+//! uncosted, tier-aware page view (`Kernel::page_view`), never
 //! the charged `Kernel::read_word` path — so invoking it perturbs no
 //! cycle, perf, TLB, or cache accounting: a verified run reports the same
 //! numbers as an unverified one.
@@ -28,7 +28,7 @@ use crate::heap::Heap;
 use crate::object::{ObjHeader, ObjRef, HEADER_WORDS};
 use crate::roots::RootSet;
 use std::collections::HashSet;
-use svagc_kernel::{Fnv64, Kernel};
+use svagc_kernel::{Fnv64, Kernel, PageView};
 use svagc_vmem::{VirtAddr, PAGE_SHIFT, WORD_BYTES};
 
 /// One broken invariant.
@@ -459,31 +459,34 @@ impl HeapVerifier {
     /// hashes mean bit-identical live data at identical addresses. An
     /// unreadable word folds in as `u64::MAX`.
     ///
-    /// Reads go through [`Kernel::page_bytes_tiered`], so a far page
-    /// hashes its real bytes, not its zeroed frame: a hash taken while
-    /// pages are demoted equals the one taken after promoting them all.
-    /// Each page is translated once and its words fold straight off the
-    /// page slice ([`Fnv64`], one multiply per word).
+    /// Reads go through [`Kernel::page_view`], so a far page hashes its
+    /// real contents, not its zeroed frame: a hash taken while pages are
+    /// demoted equals the one taken after promoting them all. Each page is
+    /// viewed once. A page the view reports as [`PageView::Zero`] (a
+    /// clean frame or a zero slot) is never read: a header on it folds as
+    /// 0 and each payload run on it as [`Fnv64::zeros`], a handful of
+    /// multiplies. Any other run folds straight off the page slice
+    /// ([`Fnv64::le_words`]). Both are bit-identical to the per-word fold.
     pub fn content_hash(&self, kernel: &Kernel, heap: &mut Heap) -> u64 {
         heap.objects_sorted();
         let (space, objects) = heap.space_and_objects();
         let mut h = Fnv64::new();
         // The last page viewed: consecutive small objects share pages.
-        let mut cached: Option<(u64, &[u8])> = None;
-        let mut page = |va: VirtAddr| -> Option<&[u8]> {
+        let mut cached: Option<(u64, PageView)> = None;
+        let mut page = |va: VirtAddr| -> Option<PageView> {
             match cached {
-                Some((vpn, bytes)) if vpn == va.vpn() => Some(bytes),
+                Some((vpn, view)) if vpn == va.vpn() => Some(view),
                 _ => {
-                    let bytes = kernel.page_bytes_tiered(space, va).ok()?;
-                    cached = Some((va.vpn(), bytes));
-                    Some(bytes)
+                    let view = kernel.page_view(space, va).ok()?;
+                    cached = Some((va.vpn(), view));
+                    Some(view)
                 }
             }
         };
         for obj in objects {
             h.word(obj.0.get());
             let hv = obj.header_va();
-            let Some(raw) = page(hv).map(|p| word_at(p, hv)) else {
+            let Some(raw) = page(hv).map(|p| p.word(hv.page_offset() as usize)) else {
                 h.word(u64::MAX);
                 continue;
             };
@@ -498,21 +501,17 @@ impl HeapVerifier {
                 let run_end = VirtAddr((va.vpn() + 1) << PAGE_SHIFT).min(end);
                 let off = va.page_offset() as usize;
                 let len = (run_end - va) as usize;
+                let words = (len / WORD_BYTES as usize) as u64;
                 match page(va) {
-                    Some(p) => h.le_words(&p[off..off + len]),
-                    None => (0..len / WORD_BYTES as usize).for_each(|_| h.word(u64::MAX)),
+                    Some(PageView::Zero) => h.zeros(words),
+                    Some(PageView::Bytes(p)) => h.le_words(&p[off..off + len]),
+                    None => (0..words).for_each(|_| h.word(u64::MAX)),
                 }
                 va = run_end;
             }
         }
         h.finish()
     }
-}
-
-/// The little-endian word at `va`'s offset in its page's bytes.
-fn word_at(page: &[u8], va: VirtAddr) -> u64 {
-    let off = va.page_offset() as usize;
-    u64::from_le_bytes(page[off..off + 8].try_into().expect("an 8-byte slice"))
 }
 
 #[cfg(test)]

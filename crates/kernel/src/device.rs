@@ -25,16 +25,38 @@
 //! Determinism: exactly one PRNG draw per device request, so the fault
 //! sequence is a pure function of the seed and request count.
 //!
+//! An all-zero page is stored as a *zero slot*: metadata with no buffer
+//! behind it, as Linux's zswap and zram keep same-filled pages. Its
+//! checksum is the closed-form fold of 512 zero words, and verify, read
+//! and peek answer it without touching a byte. Nothing simulated can tell
+//! the difference: a zero slot costs the same cycles and rolls the same
+//! fault plan as a stored page, and a torn writeback of a zero page
+//! stores the torn bytes, so the read-back verify still catches it.
+//!
 //! The device is *durable*: it survives [`crate::Kernel::reboot`], which
 //! is what makes crash recovery of a half-demoted heap possible.
 
 use crate::fnv::Fnv64;
+use crate::tier::PageView;
 use std::fmt;
 use svagc_metrics::{Cycles, SimRng};
 use svagc_vmem::PAGE_SIZE;
 
 /// Bytes per device slot (one page).
 pub const SLOT_BYTES: usize = PAGE_SIZE as usize;
+
+/// The checksum of an all-zero page: the fold of its 512 zero words.
+const ZERO_PAGE_SUM: u64 = {
+    let mut h = Fnv64::new();
+    h.zeros((SLOT_BYTES / 8) as u64);
+    h.finish()
+};
+
+/// Is every byte of `page` zero? One OR per 64-byte chunk, no early exit
+/// inside a chunk, so the scan vectorizes.
+fn is_zero_page(page: &[u8]) -> bool {
+    page.chunks(64).all(|c| c.iter().fold(0, |acc, &b| acc | b) == 0)
+}
 
 /// Identifier of one page-sized slot on the far device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -313,11 +335,32 @@ pub struct DeviceStats {
 }
 
 struct FarSlot {
-    data: Vec<u8>,
+    /// The stored page; `None` is a zero slot, an all-zero page kept as
+    /// metadata with no buffer behind it.
+    data: Option<Box<[u8]>>,
     /// Out-of-band FNV checksum of the *intended* contents, written by the
     /// host alongside the data (a torn program corrupts `data` but not
     /// this, which is how the tear is caught).
     sum: u64,
+}
+
+impl FarSlot {
+    fn view(&self) -> PageView<'_> {
+        match &self.data {
+            None => PageView::Zero,
+            Some(bytes) => PageView::Bytes(bytes),
+        }
+    }
+
+    /// Does the stored page match its checksum? A zero slot answers in
+    /// closed form.
+    fn intact(&self) -> bool {
+        let stored = match &self.data {
+            None => ZERO_PAGE_SUM,
+            Some(bytes) => Fnv64::of_le_words(bytes),
+        };
+        stored == self.sum
+    }
 }
 
 /// The modeled far-memory device: page-sized slots with out-of-band
@@ -438,27 +481,53 @@ impl FarDevice {
     /// Write one page to `slot` with its out-of-band checksum. A torn
     /// writeback lands *corrupted data under the intended checksum* and
     /// still returns `Ok` — only the mandatory [`FarDevice::verify`]
-    /// read-back exposes it, which is why demotion always verifies.
+    /// read-back exposes it, which is why demotion always verifies. An
+    /// all-zero page becomes a zero slot.
     pub fn write(&mut self, slot: SlotId, data: &[u8]) -> Result<Cycles, DeviceError> {
         assert_eq!(data.len(), SLOT_BYTES, "device slots are page-sized");
         if slot.0 as usize >= self.slots.len() {
             return Err(DeviceError::BadSlot(slot));
         }
         let base = self.writeback_cycles;
-        match self.roll(true) {
+        let torn = match self.roll(true) {
             Some(DeviceFaultKind::Offline) => return Err(DeviceError::Offline),
-            Some(DeviceFaultKind::TornWriteback) => {
-                let mut torn = data.to_vec();
-                // Deterministic tear: the first byte of the page flips.
-                torn[0] ^= 0xFF;
-                self.stats.torn_writebacks += 1;
-                self.slots[slot.0 as usize] = Some(FarSlot {
-                    sum: Fnv64::of_le_words(data),
-                    data: torn,
-                });
-                self.stats.writebacks += 1;
-                return Ok(Cycles(base));
+            Some(DeviceFaultKind::TornWriteback) => true,
+            Some(kind) => {
+                return Err(DeviceError::Io {
+                    kind,
+                    spent: self.fault_cost(kind, base),
+                })
             }
+            None => false,
+        };
+        let zero = is_zero_page(data);
+        let sum = if zero {
+            ZERO_PAGE_SUM
+        } else {
+            Fnv64::of_le_words(data)
+        };
+        let data = if torn {
+            let mut torn: Box<[u8]> = data.into();
+            // Deterministic tear: the first byte of the page flips.
+            torn[0] ^= 0xFF;
+            self.stats.torn_writebacks += 1;
+            Some(torn)
+        } else {
+            (!zero).then(|| data.into())
+        };
+        self.slots[slot.0 as usize] = Some(FarSlot { data, sum });
+        self.stats.writebacks += 1;
+        if !torn {
+            self.stats.slots_peak = self.stats.slots_peak.max(self.slots_in_use());
+        }
+        Ok(Cycles(base))
+    }
+
+    /// Roll the fault plan for a read-side request costing `base` and
+    /// check `slot`'s stored page against its checksum.
+    fn read_back(&mut self, slot: SlotId, base: u64) -> Result<Cycles, DeviceError> {
+        match self.roll(false) {
+            Some(DeviceFaultKind::Offline) => return Err(DeviceError::Offline),
             Some(kind) => {
                 return Err(DeviceError::Io {
                     kind,
@@ -467,82 +536,57 @@ impl FarDevice {
             }
             None => {}
         }
-        self.slots[slot.0 as usize] = Some(FarSlot {
-            sum: Fnv64::of_le_words(data),
-            data: data.to_vec(),
-        });
-        self.stats.writebacks += 1;
-        self.stats.slots_peak = self.stats.slots_peak.max(self.slots_in_use());
+        let s = self.slots[slot.0 as usize]
+            .as_ref()
+            .ok_or(DeviceError::BadSlot(slot))?;
+        if !s.intact() {
+            return Err(DeviceError::Corrupt {
+                slot,
+                spent: Cycles(base),
+            });
+        }
         Ok(Cycles(base))
     }
 
     /// Checksum-only read-back verify of `slot` (the writeback protocol's
     /// mandatory second half — this is what catches torn writebacks).
     pub fn verify(&mut self, slot: SlotId) -> Result<Cycles, DeviceError> {
-        let base = self.verify_cycles;
-        match self.roll(false) {
-            Some(DeviceFaultKind::Offline) => return Err(DeviceError::Offline),
-            Some(kind) => {
-                return Err(DeviceError::Io {
-                    kind,
-                    spent: self.fault_cost(kind, base),
-                })
-            }
-            None => {}
-        }
-        let s = self.slots[slot.0 as usize]
-            .as_ref()
-            .ok_or(DeviceError::BadSlot(slot))?;
-        if Fnv64::of_le_words(&s.data) != s.sum {
-            return Err(DeviceError::Corrupt {
-                slot,
-                spent: Cycles(base),
-            });
-        }
+        let c = self.read_back(slot, self.verify_cycles)?;
         self.stats.verifies += 1;
-        Ok(Cycles(base))
+        Ok(c)
     }
 
-    /// Fetch one page from `slot` into `buf`, verifying its checksum.
-    pub fn read(&mut self, slot: SlotId, buf: &mut [u8]) -> Result<Cycles, DeviceError> {
-        assert_eq!(buf.len(), SLOT_BYTES, "device slots are page-sized");
+    /// Fetch one page from `slot`, verifying its checksum; its contents
+    /// are then [`FarDevice::peek`]'s view of the slot. The tier promotes
+    /// through this, so a zero slot lands without a copy.
+    pub(crate) fn fetch(&mut self, slot: SlotId) -> Result<Cycles, DeviceError> {
         if slot.0 as usize >= self.slots.len() {
             return Err(DeviceError::BadSlot(slot));
         }
-        let base = self.fetch_cycles;
-        match self.roll(false) {
-            Some(DeviceFaultKind::Offline) => return Err(DeviceError::Offline),
-            Some(kind) => {
-                return Err(DeviceError::Io {
-                    kind,
-                    spent: self.fault_cost(kind, base),
-                })
-            }
-            None => {}
-        }
-        let s = self.slots[slot.0 as usize]
-            .as_ref()
-            .ok_or(DeviceError::BadSlot(slot))?;
-        if Fnv64::of_le_words(&s.data) != s.sum {
-            return Err(DeviceError::Corrupt {
-                slot,
-                spent: Cycles(base),
-            });
-        }
-        buf.copy_from_slice(&s.data);
+        let c = self.read_back(slot, self.fetch_cycles)?;
         self.stats.fetches += 1;
-        Ok(Cycles(base))
+        Ok(c)
     }
 
-    /// Fault-free, cost-free functional read of a slot's stored bytes —
+    /// Fetch one page from `slot` into `buf`, verifying its checksum. A
+    /// zero slot fills `buf` with zeros.
+    pub fn read(&mut self, slot: SlotId, buf: &mut [u8]) -> Result<Cycles, DeviceError> {
+        assert_eq!(buf.len(), SLOT_BYTES, "device slots are page-sized");
+        let c = self.fetch(slot)?;
+        match self.peek(slot).expect("a fetched slot holds data") {
+            PageView::Zero => buf.fill(0),
+            PageView::Bytes(bytes) => buf.copy_from_slice(bytes),
+        }
+        Ok(c)
+    }
+
+    /// Fault-free, cost-free functional view of a slot's stored page —
     /// the verifier/oracle surface. Never rolls the fault plan and never
     /// touches counters, so observing a slot cannot perturb the
-    /// simulation. `None` for an empty or out-of-range slot.
-    pub fn peek(&self, slot: SlotId) -> Option<&[u8]> {
-        self.slots
-            .get(slot.0 as usize)?
-            .as_ref()
-            .map(|s| s.data.as_slice())
+    /// simulation. A zero slot is [`PageView::Zero`]. `None` for an empty
+    /// or out-of-range slot.
+    pub fn peek(&self, slot: SlotId) -> Option<PageView<'_>> {
+        self.slots.get(slot.0 as usize)?.as_ref().map(FarSlot::view)
     }
 
     /// Return a slot to the free list whether or not a write ever landed
@@ -593,6 +637,25 @@ mod tests {
         vec![fill; SLOT_BYTES]
     }
 
+    /// Flip the low bit of byte `off` of `slot`'s stored page, first
+    /// materializing a zero slot's page.
+    fn flip_stored_byte(d: &mut FarDevice, slot: SlotId, off: usize) {
+        let s = d.slots[slot.0 as usize].as_mut().expect("a written slot");
+        s.data.get_or_insert_with(|| page(0).into())[off] ^= 0x01;
+    }
+
+    /// Every writeback tears.
+    fn always_torn() -> DeviceFaultPlan {
+        DeviceFaultPlan::new(DeviceFaultConfig {
+            p_eio: 0.0,
+            p_spike: 0.0,
+            p_torn: 1.0,
+            p_offline: 0.0,
+            offline_after: None,
+            seed: 7,
+        })
+    }
+
     #[test]
     fn writeback_fetch_roundtrip() {
         let mut d = FarDevice::new(4);
@@ -623,17 +686,8 @@ mod tests {
 
     #[test]
     fn torn_writeback_is_caught_by_verify_and_cleared_by_rewrite() {
-        // p_torn = 1.0: every writeback tears.
-        let cfg = DeviceFaultConfig {
-            p_eio: 0.0,
-            p_spike: 0.0,
-            p_torn: 1.0,
-            p_offline: 0.0,
-            offline_after: None,
-            seed: 7,
-        };
         let mut d = FarDevice::new(2);
-        d.set_fault_plan(Some(DeviceFaultPlan::new(cfg)));
+        d.set_fault_plan(Some(always_torn()));
         let s = d.alloc_slot().unwrap();
         d.write(s, &page(0x55)).unwrap();
         // Drop the plan so the verify itself is fault-free: the corruption
@@ -661,7 +715,7 @@ mod tests {
         for (name, data) in [("patterned", &patterned), ("zero", &zero)] {
             for off in [0, 7, 8, 56, 63, 64, 2047, 4032, 4088, 4095] {
                 d.write(s, data).unwrap();
-                d.slots[s.0 as usize].as_mut().unwrap().data[off] ^= 0x01;
+                flip_stored_byte(&mut d, s, off);
                 assert!(
                     matches!(d.verify(s), Err(DeviceError::Corrupt { .. })),
                     "verify missed a flip at byte {off} of the {name} page"
@@ -673,6 +727,57 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_zero_page_is_a_zero_slot_with_no_buffer() {
+        let mut d = FarDevice::new(2);
+        let (z, p) = (d.alloc_slot().unwrap(), d.alloc_slot().unwrap());
+        d.write(z, &page(0)).unwrap();
+        d.write(p, &page(3)).unwrap();
+        assert!(d.slots[z.0 as usize].as_ref().unwrap().data.is_none());
+        assert!(matches!(d.peek(z), Some(PageView::Zero)));
+        assert!(matches!(d.peek(p), Some(PageView::Bytes(b)) if b == page(3)));
+        assert_eq!(d.slots[z.0 as usize].as_ref().unwrap().sum, Fnv64::of_le_words(&page(0)));
+        assert_eq!(d.verify(z).unwrap(), Cycles(FarDevice::VERIFY_CYCLES));
+        // A read of a zero slot overwrites the whole buffer with zeros.
+        let mut buf = page(0xAA);
+        assert_eq!(d.read(z, &mut buf).unwrap(), Cycles(FarDevice::FETCH_CYCLES));
+        assert_eq!(buf, page(0));
+        let st = d.stats();
+        assert_eq!((st.writebacks, st.verifies, st.fetches, st.slots_peak), (2, 1, 1, 2));
+        assert_eq!(d.slots_in_use(), 2);
+        d.free_slot(z).unwrap();
+        assert_eq!(d.slots_in_use(), 1);
+        assert!(d.peek(z).is_none());
+    }
+
+    #[test]
+    fn a_torn_zero_page_is_caught_and_cleared_by_rewrite() {
+        let mut d = FarDevice::new(1);
+        d.set_fault_plan(Some(always_torn()));
+        let s = d.alloc_slot().unwrap();
+        d.write(s, &page(0)).unwrap();
+        assert_eq!(d.stats().torn_writebacks, 1);
+        d.set_fault_plan(None);
+        // The tear is stored as bytes, under the zero page's checksum.
+        assert!(matches!(d.peek(s), Some(PageView::Bytes(b)) if b[0] == 0xFF));
+        assert!(matches!(d.verify(s), Err(DeviceError::Corrupt { .. })));
+        let mut buf = page(0);
+        assert!(matches!(d.read(s, &mut buf), Err(DeviceError::Corrupt { .. })));
+        d.write(s, &page(0)).unwrap();
+        assert!(matches!(d.peek(s), Some(PageView::Zero)));
+        d.verify(s).unwrap();
+        buf.fill(0x11);
+        d.read(s, &mut buf).unwrap();
+        assert_eq!(buf, page(0));
+        // A page whose tear leaves it all zero is still caught.
+        d.set_fault_plan(Some(always_torn()));
+        let mut one = page(0);
+        one[0] = 0xFF;
+        d.write(s, &one).unwrap();
+        d.set_fault_plan(None);
+        assert!(matches!(d.verify(s), Err(DeviceError::Corrupt { .. })));
     }
 
     #[test]

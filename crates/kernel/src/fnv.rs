@@ -9,33 +9,51 @@
 //! produced, so the word granularity is free to choose.
 //!
 //! A zero word folds in closed form: the step h ← (h ⊕ w)·P is just h·P
-//! when w = 0, so eight zero words in a row are one multiply by P⁸ mod
-//! 2^64. [`Fnv64::words`] and [`Fnv64::le_words`] read their input eight
-//! words (64 bytes) at a time, OR the chunk, and take that one multiply
-//! when the chunk is all zero; any other chunk, and a tail of fewer than
-//! eight words, folds word by word. Multiplication mod 2^64 is
-//! associative, so every sum is bit-identical to the per-word fold, and
-//! every byte is still read. Heap payloads and demoted pages are mostly
-//! zero (allocation zeroes each object), so the hash costs about one
-//! multiply per non-zero word plus one per zero chunk.
+//! when w = 0, so n zero words in a row are one multiply by Pⁿ mod 2^64.
+//! Multiplication mod 2^64 is associative, so every closed form below is
+//! bit-identical to the per-word fold.
+//!
+//! * [`Fnv64::words`] and [`Fnv64::le_words`] read their input eight
+//!   words (64 bytes) at a time, OR the chunk, and take one multiply by P⁸
+//!   when the chunk is all zero; any other chunk, and a tail of fewer than
+//!   eight words, folds word by word. These read every byte.
+//! * [`Fnv64::zeros`] folds a run of n words that is known to be zero
+//!   without reading it: Pⁿ is a product of the table entries P^(2^k) for
+//!   the set bits of n, so a whole 4 KiB page (n = 512) is one multiply.
+//!   The content hash takes it for every page the kernel's page view
+//!   reports as zero: a clean DRAM frame (a frame's clean bit implies all
+//!   of its bytes are 0) and a far-device slot that holds a zero page.
+//!   Those pages are never read. The device's checksum of a zero slot is
+//!   the same fold, taken once at compile time.
+//!
+//! Heap payloads and demoted pages are mostly zero (allocation zeroes
+//! each object), so the hash costs about one multiply per non-zero word,
+//! one per zero chunk of a written page, and a handful per page that was
+//! never written.
 //!
 //! Users: the far device's per-slot checksum, the write-ahead log's frame
 //! and pre-image checksums, and the heap verifier's content hash.
 
 const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const PRIME: u64 = 0x0000_0100_0000_01b3;
-/// Words per chunk of the zero test.
+/// Words per chunk of the zero test (a power of two).
 const CHUNK: usize = 8;
-/// PRIME^CHUNK mod 2^64: the fold of a chunk of zero words.
-const PRIME_POW_CHUNK: u64 = {
-    let mut p = 1u64;
-    let mut i = 0;
-    while i < CHUNK {
-        p = p.wrapping_mul(PRIME);
-        i += 1;
+
+/// P^(2^k) mod 2^64 for k = 0..64: the factors of [`Fnv64::zeros`].
+const PRIME_POW2: [u64; 64] = {
+    let mut t = [0u64; 64];
+    let mut p = PRIME;
+    let mut k = 0;
+    while k < 64 {
+        t[k] = p;
+        p = p.wrapping_mul(p);
+        k += 1;
     }
-    p
+    t
 };
+
+/// PRIME^CHUNK mod 2^64: the fold of a chunk of zero words.
+const PRIME_POW_CHUNK: u64 = PRIME_POW2[CHUNK.trailing_zeros() as usize];
 
 /// A running word-wide FNV-1a hash.
 #[derive(Debug, Clone, Copy)]
@@ -57,6 +75,17 @@ impl Fnv64 {
     #[inline]
     pub fn word(&mut self, w: u64) {
         self.0 = (self.0 ^ w).wrapping_mul(PRIME);
+    }
+
+    /// Fold `n` zero words without reading them: one multiply per set bit
+    /// of `n`, bit-identical to `n` calls of `word(0)`.
+    #[inline]
+    pub const fn zeros(&mut self, n: u64) {
+        let mut bits = n;
+        while bits != 0 {
+            self.0 = self.0.wrapping_mul(PRIME_POW2[bits.trailing_zeros() as usize]);
+            bits &= bits - 1;
+        }
     }
 
     /// Fold one chunk: a single multiply when every word is zero.
@@ -104,7 +133,7 @@ impl Fnv64 {
 
     /// The hash of everything folded so far.
     #[inline]
-    pub fn finish(self) -> u64 {
+    pub const fn finish(self) -> u64 {
         self.0
     }
 
@@ -133,6 +162,19 @@ mod tests {
         let bytes: Vec<u8> = ws.iter().flat_map(|w| w.to_le_bytes()).collect();
         assert_eq!(Fnv64::of_words(&ws), Fnv64::of_le_words(&bytes));
         assert_eq!(Fnv64::of_words(&[]), OFFSET);
+    }
+
+    #[test]
+    fn zeros_is_the_per_word_fold_of_zero() {
+        let start = Fnv64(0x0123_4567_89ab_cdef);
+        let mut fold = start;
+        for n in 0..300u64 {
+            let mut closed = start;
+            closed.zeros(n);
+            assert_eq!(closed.finish(), fold.finish(), "n = {n}");
+            fold.word(0);
+        }
+        assert_eq!(PRIME_POW_CHUNK, PRIME.wrapping_pow(CHUNK as u32));
     }
 
     #[test]

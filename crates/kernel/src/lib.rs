@@ -63,7 +63,7 @@ pub use retry::RetryPolicy;
 pub use shootdown::{FlushMode, Interference};
 pub use state::{CoreId, Kernel};
 pub use swapva::{SwapRequest, SwapVaOptions};
-pub use tier::{FarTier, TierError, TierStats};
+pub use tier::{FarTier, PageView, TierError, TierStats};
 pub use wal::{
     Preimages, WalMutation, WalOp, WalPayload, WalRecord, WalScan, WalStats, WriteAheadLog,
     TIER_EPOCH,

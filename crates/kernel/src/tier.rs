@@ -58,13 +58,37 @@
 
 use std::collections::BTreeSet;
 
-use crate::device::{DeviceStats, FarDevice, SlotId, SLOT_BYTES};
+use crate::device::{DeviceStats, FarDevice, SlotId};
 use crate::fault::CrashPoint;
 use crate::retry::RetryPolicy;
 use crate::state::Kernel;
 use crate::wal::{WalPayload, TIER_EPOCH};
 use svagc_metrics::{Cycles, TraceKind};
 use svagc_vmem::{AddressSpace, FrameId, VirtAddr, VmError};
+
+/// An uncosted view of one page's contents, from
+/// [`Kernel::page_view`] or [`FarDevice::peek`].
+#[derive(Debug, Clone, Copy)]
+pub enum PageView<'a> {
+    /// Every byte is known to be 0 without reading any: a clean DRAM
+    /// frame, or a far frame whose device slot holds a zero page.
+    Zero,
+    /// The page's bytes.
+    Bytes(&'a [u8]),
+}
+
+impl PageView<'_> {
+    /// The little-endian word at byte offset `off` (word-aligned).
+    #[inline]
+    pub fn word(&self, off: usize) -> u64 {
+        match self {
+            PageView::Zero => 0,
+            PageView::Bytes(b) => {
+                u64::from_le_bytes(b[off..off + 8].try_into().expect("an 8-byte slice"))
+            }
+        }
+    }
+}
 
 /// Failure of a tier operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -172,8 +196,6 @@ pub struct FarTier {
     /// Bitset of frames touched by translation since the last policy
     /// drain — the hotness signal the demotion policy feeds on.
     touched: Vec<u64>,
-    /// Landing buffer for device fetches, reused by every promotion.
-    fetch_buf: Box<[u8]>,
     /// Retry/backoff policy for device I/O (shared shape with SwapVA).
     pub(crate) retry: RetryPolicy,
     pub(crate) stats: TierStats,
@@ -188,7 +210,6 @@ impl FarTier {
             residency: Vec::new(),
             far: 0,
             touched: Vec::new(),
-            fetch_buf: vec![0u8; SLOT_BYTES].into_boxed_slice(),
             retry,
             stats: TierStats::default(),
         }
@@ -331,13 +352,16 @@ impl Kernel {
     }
 
     /// Tier-aware uncosted view of the page holding `va`: a far frame's
-    /// bytes come from its device slot via a fault-free peek, a resident
-    /// frame's from physical memory. This is the one tier-aware read path
-    /// — the heap verifier and the content hash see through the tier with
-    /// it without promoting anything, rolling the device fault plan, or
-    /// touching a counter (observation cannot perturb the run). With no
-    /// tier installed it is exactly the frame's bytes.
-    pub fn page_bytes_tiered(&self, space: &AddressSpace, va: VirtAddr) -> Result<&[u8], VmError> {
+    /// contents come from its device slot via a fault-free peek, a
+    /// resident frame's from physical memory. This is the one tier-aware
+    /// read path — the heap verifier and the content hash see through
+    /// the tier with it without promoting anything, rolling the device
+    /// fault plan, or touching a counter (observation cannot perturb the
+    /// run). A page known to be zero without reading it — a clean frame
+    /// (its clean bit implies every byte is 0) or a zero slot — is
+    /// [`PageView::Zero`], so a reader can fold it in O(1). With no tier
+    /// installed it is exactly the frame.
+    pub fn page_view(&self, space: &AddressSpace, va: VirtAddr) -> Result<PageView<'_>, VmError> {
         let frame = space.translate(va)?.frame();
         if let Some(tier) = &self.tier {
             if let Some(slot) = tier.slot_of(frame) {
@@ -347,16 +371,18 @@ impl Kernel {
                     .expect("residency invariant: a far frame's slot holds data"));
             }
         }
-        self.vmem.phys.frame_bytes(frame)
+        let phys = &self.vmem.phys;
+        if phys.frame_is_clean(frame) {
+            return Ok(PageView::Zero);
+        }
+        phys.frame_bytes(frame).map(PageView::Bytes)
     }
 
     /// Tier-aware uncosted functional word read: one word of
-    /// [`Kernel::page_bytes_tiered`]. `va` must be word-aligned.
+    /// [`Kernel::page_view`]. `va` must be word-aligned.
     pub fn read_u64_tiered(&self, space: &AddressSpace, va: VirtAddr) -> Result<u64, VmError> {
         debug_assert_eq!(va.get() % 8, 0, "tiered word reads are aligned");
-        let off = va.page_offset() as usize;
-        let word = &self.page_bytes_tiered(space, va)?[off..off + 8];
-        Ok(u64::from_le_bytes(word.try_into().expect("8 bytes")))
+        Ok(self.page_view(space, va)?.word(va.page_offset() as usize))
     }
 
     /// Demote the page at `va` to the far tier: write its frame's
@@ -505,7 +531,7 @@ impl Kernel {
         let mut attempts = 0u32;
         loop {
             attempts += 1;
-            match tier.device.read(slot, &mut tier.fetch_buf) {
+            match tier.device.fetch(slot) {
                 Ok(c) => {
                     t += c;
                     break;
@@ -531,7 +557,12 @@ impl Kernel {
             frame: u64::from(frame.0),
             slot: u64::from(slot.0),
         });
-        self.vmem.phys.write_bytes(frame.base(), &tier.fetch_buf)?;
+        // A zero slot lands as a clean frame: zeroing writes nothing on a
+        // frame that is already clean, and leaves it clean.
+        match tier.device.peek(slot).expect("a fetched slot holds data") {
+            PageView::Zero => self.vmem.phys.zero_frame(frame)?,
+            PageView::Bytes(bytes) => self.vmem.phys.write_bytes(frame.base(), bytes)?,
+        }
         tier.device
             .free_slot(slot)
             .expect("residency invariant: a far frame's slot holds data");
@@ -710,6 +741,36 @@ mod tests {
         let st = k.far_tier().unwrap().stats();
         assert_eq!((st.demotions, st.promotions, st.fetch_on_access), (1, 1, 1));
         assert_eq!(k.far_tier().unwrap().slots_in_use(), 0, "slot freed");
+    }
+
+    #[test]
+    fn promoting_a_zero_slot_leaves_its_frame_clean() {
+        let (mut k, s, va) = setup(8);
+        let clean = |k: &Kernel, p: u64| {
+            k.vmem.phys.frame_is_clean(s.translate(va.add_pages(p)).unwrap().frame())
+        };
+        // Page 0 never written, page 1 written back to zero (dirty but
+        // zero), page 2 holding data.
+        k.write_word(&s, crate::CoreId(0), va.add_pages(1), 5).unwrap();
+        k.write_word(&s, crate::CoreId(0), va.add_pages(1), 0).unwrap();
+        k.write_word(&s, crate::CoreId(0), va.add_pages(2), 9).unwrap();
+        assert!(matches!(k.page_view(&s, va).unwrap(), PageView::Zero));
+        assert!(matches!(k.page_view(&s, va.add_pages(1)).unwrap(), PageView::Bytes(_)));
+        for p in 0..3 {
+            k.tier_demote_page(&s, va.add_pages(p)).unwrap();
+            assert!(clean(&k, p), "a demoted frame is zeroed clean");
+        }
+        // Both zero pages are zero slots; the data page is not.
+        for (p, zero) in [(0, true), (1, true), (2, false)] {
+            let view = k.page_view(&s, va.add_pages(p)).unwrap();
+            assert_eq!(matches!(view, PageView::Zero), zero, "page {p}");
+        }
+        k.tier_promote_all().unwrap();
+        assert_eq!(k.far_tier().unwrap().device_stats().fetches, 3);
+        assert!(clean(&k, 0) && clean(&k, 1), "zero slots promote clean");
+        assert!(!clean(&k, 2), "a data page promotes dirty");
+        assert_eq!(k.read_u64_tiered(&s, va.add_pages(2)).unwrap(), 9);
+        assert_eq!(k.read_u64_tiered(&s, va.add_pages(1)).unwrap(), 0);
     }
 
     #[test]

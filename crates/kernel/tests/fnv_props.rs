@@ -4,7 +4,8 @@
 //! offset within a chunk, and on the fills that steer the fold between its
 //! zero-chunk and word-by-word paths: all zero, all random, one non-zero
 //! word at each position (the last word included), alternating runs, and
-//! runs of `u64::MAX`.
+//! runs of `u64::MAX`. `Fnv64::zeros(n)`, which folds n zero words without
+//! reading any, equals n per-word folds of 0 from random running states.
 //!
 //! Offline std-only: the random properties run over many cases drawn from
 //! the deterministic `SimRng` (splitmix64). A failing case panics with the
@@ -198,6 +199,47 @@ fn zero_chunks_continue_any_running_state() {
             } else {
                 Err(format!("head {head:x?}, {} zero words", zeros.len()))
             }
+        },
+    );
+}
+
+/// `zeros(n)` is n per-word folds of 0 from any running state, for every
+/// n from 0 to 1100, a whole page (512) and a whole 32 KiB run (4096),
+/// and continues into the ordinary fold.
+#[test]
+fn zeros_equals_the_per_word_fold_of_zero() {
+    check(
+        "zeros_equals_the_per_word_fold_of_zero",
+        0xF_2000,
+        16,
+        |rng| {
+            let head: Vec<u64> = (0..rng.gen_range(0..20usize))
+                .map(|_| rng.next_u64())
+                .collect();
+            let tail = rng.next_u64();
+            let mut start = Fnv64::new();
+            start.words(&head);
+            let mut want = reference(OFFSET, &head);
+            for n in 0..=MAX_WORDS as u64 {
+                let mut h = start;
+                h.zeros(n);
+                if h.finish() != want {
+                    return Err(format!("zeros({n}) after head {head:x?}"));
+                }
+                h.word(tail);
+                if h.finish() != (want ^ tail).wrapping_mul(PRIME) {
+                    return Err(format!("a word after zeros({n}), head {head:x?}"));
+                }
+                want = want.wrapping_mul(PRIME);
+            }
+            for n in [512usize, 4096] {
+                let mut h = start;
+                h.zeros(n as u64);
+                if h.finish() != reference(reference(OFFSET, &head), &vec![0; n]) {
+                    return Err(format!("zeros({n}) after head {head:x?}"));
+                }
+            }
+            Ok(())
         },
     );
 }

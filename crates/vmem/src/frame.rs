@@ -223,6 +223,13 @@ impl PhysMem {
         self.zero(frame.base(), PAGE_SIZE)
     }
 
+    /// Is `frame` clean, so every byte of it is known to be 0 without
+    /// reading it? False for a frame outside the machine.
+    #[inline]
+    pub fn frame_is_clean(&self, frame: FrameId) -> bool {
+        frame.0 < self.frames && !self.dirty[frame.0 as usize]
+    }
+
     /// Borrow a frame's bytes (tests, checksums).
     pub fn frame_bytes(&self, frame: FrameId) -> Result<&[u8], VmError> {
         let i = self.check(frame.base(), PAGE_SIZE)?;
@@ -616,7 +623,7 @@ mod tests {
                 assert!(m.bytes[..size as usize] == model, "{at}: bytes diverged from the model");
                 for f in 0..FRAMES {
                     assert!(
-                        m.dirty[f as usize] || m.frame_bytes(FrameId(f)).unwrap().iter().all(|&b| b == 0),
+                        !m.frame_is_clean(FrameId(f)) || m.frame_bytes(FrameId(f)).unwrap().iter().all(|&b| b == 0),
                         "{at}: clean frame {f} holds non-zero bytes"
                     );
                 }
@@ -633,6 +640,8 @@ mod tests {
         assert_eq!(m.dirty[..2], [true, true]);
         m.zero_frame(FrameId(1)).unwrap();
         assert_eq!(m.dirty[..2], [true, false]);
+        assert!(!m.frame_is_clean(FrameId(0)) && m.frame_is_clean(FrameId(1)));
+        assert!(!m.frame_is_clean(FrameId(2)), "a frame past the machine is never clean");
         assert_eq!(m.read_u64(PhysAddr(0)).unwrap(), 0);
     }
 
