@@ -17,8 +17,10 @@
 //! * `--out DIR` — write `BENCH_<id>.json` + `BENCH_summary.json` into
 //!   DIR. Without it no file is written.
 //!
-//! Every argument is checked before anything runs: an unknown flag or an
-//! unknown or repeated id prints the usage text and exits with status 2.
+//! Every argument is checked before anything runs: an unknown or repeated
+//! flag, `--out` without its directory, or an unknown or repeated id
+//! prints the usage text and exits with status 2. A `--out` directory
+//! that cannot be written exits with status 1.
 
 use std::process::ExitCode;
 use svagc_bench::runner;
@@ -62,13 +64,17 @@ fn main() -> ExitCode {
     }
 
     if let Some(dir) = &args.out {
-        let files = runner::write_bench_files(dir, &outcomes, args.parallel)
-            .and_then(|mut v| {
-                v.push(runner::write_summary(dir, &outcomes, args.parallel)?);
-                Ok(v)
-            })
-            .unwrap_or_else(|e| panic!("cannot write BENCH files to {}: {e}", dir.display()));
-        eprintln!("wrote {} BENCH files under {}", files.len(), dir.display());
+        let written = runner::write_bench_files(dir, &outcomes, args.parallel).and_then(|mut v| {
+            v.push(runner::write_summary(dir, &outcomes, args.parallel)?);
+            Ok(v)
+        });
+        match written {
+            Ok(files) => eprintln!("wrote {} BENCH files under {}", files.len(), dir.display()),
+            Err(e) => {
+                eprintln!("cannot write BENCH files to {}: {e}", dir.display());
+                return ExitCode::FAILURE;
+            }
+        }
     }
 
     if failures.is_empty() {

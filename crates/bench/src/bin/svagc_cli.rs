@@ -8,6 +8,7 @@
 //! svagc multi --jvms 8 --collector svagc --gc-threads 4
 //! ```
 
+use svagc_bench::args::{self, at_least, Flag, Kind, Parsed};
 use svagc_bench::report::{HostInfo, Report};
 use svagc_bench::rusage::Rusage;
 use svagc_core::protocol::{self, ModelConfig};
@@ -25,25 +26,30 @@ fn usage() -> ! {
         "usage:
   svagc list
   svagc run --workload <name> [--collector svagc|memmove|parallelgc|shenandoah]
-            [--heap-factor <f>] [--gc-threads <n>] [--steps <n>]
-            [--machine 6130|6240|i5] [--threshold <pages>] [--instrumented]
-            [--fault-rate <p>] [--fault-seed <n>] [--fault-permanent]
+            [--heap-factor <f > 0>] [--gc-threads <n >= 1>] [--steps <n>]
+            [--machine 6130|6240|i5] [--threshold <pages >= 1>] [--instrumented]
+            [--fault-rate <p in [0,1]>] [--fault-seed <n>] [--fault-permanent]
             [--swap-fallback-budget <n>] [--verify-phases]
             [--gc-deadline-cycles <n>] [--degrade-policy off|standard|standard:N]
             [--trace <out.json>] [--trace-summary] [--bench-json <out.json>]
             [--tlb-oracle] [--wal] [--crash-plan <pt[:n],...>]
             [--wal-mutate skip-commit|drop-intent|corrupt-preimage]
             [--scheduler barrier|packets] [--core-base <n>] [--concurrent]
-            [--dram-fraction <f>] [--device-fault-rate <p>]
+            [--dram-fraction <f in [0,1]>] [--device-fault-rate <p in [0,1]>]
             [--device-fault-seed <n>] [--device-offline-after <n>]
   svagc recover ...same flags as run...
-  svagc multi --jvms <n> [--collector ...] [--gc-threads <n>]
-            [--scheduler barrier|packets]
-  svagc fleet [--tenants <n>] [--victims <i,j,...>] [--victim-fault-rate <p>]
-            [--seed <n>] [--steps <n>] [--live-objects <n>]
-            [--quota-fraction <f>] [--max-attempts <n>] [--no-pressure]
-            [--machine 6130|6240|i5]
+  svagc multi --jvms <n >= 1> [--collector ...] [--gc-threads <n >= 1>]
+            [--machine 6130|6240|i5] [--scheduler barrier|packets]
+  svagc fleet [--tenants <n >= 1>] [--victims <i,j,...>]
+            [--victim-fault-rate <p in [0,1]>] [--seed <n>] [--steps <n>]
+            [--live-objects <n >= 1>] [--quota-fraction <f > 0>]
+            [--max-attempts <n >= 1>] [--no-pressure] [--machine 6130|6240|i5]
   svagc protocol-check [--deep]
+
+  Every <n> is an unsigned integer and every <f> or <p> a finite number.
+  A malformed argument (an unknown or repeated flag, a missing value, a
+  value that does not parse or is out of range) exits 2 before anything
+  runs.
 
   --dram-fraction <f> arm cold-object tiering: keep this fraction of the
                       heap's pages resident in DRAM and demote the cold
@@ -131,8 +137,9 @@ fn usage() -> ! {
                       outcome for a faulted victim — scripts assert on
                       it, they don't treat it as a harness error)
 
-  exit codes: 0 ok | 1 error | 2 usage | 10 watchdog deadline |
-              11 fault abort | 12 degraded-mode ladder exhausted |
+  exit codes: 0 ok | 1 error | 2 malformed argument, nothing ran |
+              10 watchdog deadline | 11 fault abort |
+              12 degraded-mode ladder exhausted |
               13 machine crashed | 14 recovery failed |
               15 tenant out of memory | 16 far device failed
 
@@ -146,78 +153,165 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn parse_collector(s: &str) -> CollectorKind {
-    match s {
-        "svagc" => CollectorKind::Svagc,
-        "memmove" => CollectorKind::SvagcMemmove,
-        "parallelgc" => CollectorKind::ParallelGc,
-        "shenandoah" => CollectorKind::Shenandoah,
-        other => {
-            eprintln!("unknown collector {other:?}");
-            usage()
-        }
-    }
-}
+/// The flags of `run` and `recover`.
+const RUN_FLAGS: &[Flag] = &[
+    ("--workload", Kind::Text),
+    ("--collector", Kind::Text),
+    ("--machine", Kind::Text),
+    ("--heap-factor", Kind::Positive),
+    ("--gc-threads", at_least(1)),
+    ("--steps", at_least(0)),
+    ("--threshold", at_least(1)),
+    ("--instrumented", Kind::Switch),
+    ("--verify-phases", Kind::Switch),
+    ("--concurrent", Kind::Switch),
+    ("--fault-rate", Kind::Unit),
+    ("--fault-seed", at_least(0)),
+    ("--fault-permanent", Kind::Switch),
+    ("--swap-fallback-budget", at_least(0)),
+    ("--gc-deadline-cycles", at_least(0)),
+    ("--degrade-policy", Kind::Text),
+    ("--trace", Kind::Text),
+    ("--trace-summary", Kind::Switch),
+    ("--tlb-oracle", Kind::Switch),
+    ("--wal", Kind::Switch),
+    ("--crash-plan", Kind::Text),
+    ("--wal-mutate", Kind::Text),
+    ("--scheduler", Kind::Text),
+    ("--core-base", at_least(0)),
+    ("--dram-fraction", Kind::Unit),
+    ("--device-fault-rate", Kind::Unit),
+    ("--device-fault-seed", at_least(0)),
+    ("--device-offline-after", at_least(0)),
+    ("--bench-json", Kind::Text),
+];
 
-fn parse_scheduler(s: &str) -> SchedulerKind {
-    SchedulerKind::parse(s).unwrap_or_else(|| {
-        eprintln!("unknown scheduler {s:?} (barrier | packets)");
+const MULTI_FLAGS: &[Flag] = &[
+    ("--jvms", at_least(1)),
+    ("--collector", Kind::Text),
+    ("--machine", Kind::Text),
+    ("--gc-threads", at_least(1)),
+    ("--scheduler", Kind::Text),
+];
+
+const FLEET_FLAGS: &[Flag] = &[
+    ("--victim-fault-rate", Kind::Unit),
+    ("--seed", at_least(0)),
+    ("--tenants", at_least(1)),
+    ("--victims", Kind::Text),
+    ("--steps", at_least(0)),
+    ("--live-objects", at_least(1)),
+    ("--quota-fraction", Kind::Positive),
+    ("--max-attempts", Kind::Int(1, u32::MAX as u64)),
+    ("--no-pressure", Kind::Switch),
+    ("--machine", Kind::Text),
+];
+
+const PROTOCOL_FLAGS: &[Flag] = &[("--deep", Kind::Switch)];
+
+/// Print `e` with the usage text and exit 2: the one error path of a
+/// malformed command line, taken before anything runs.
+fn or_usage<T>(r: Result<T, String>) -> T {
+    r.unwrap_or_else(|e| {
+        eprintln!("{e}");
         usage()
     })
 }
 
-fn parse_machine(s: &str) -> MachineConfig {
-    match s {
+fn collector(name: Option<&str>) -> Result<CollectorKind, String> {
+    Ok(match name.unwrap_or("svagc") {
+        "svagc" => CollectorKind::Svagc,
+        "memmove" => CollectorKind::SvagcMemmove,
+        "parallelgc" => CollectorKind::ParallelGc,
+        "shenandoah" => CollectorKind::Shenandoah,
+        other => return Err(format!("unknown collector {other:?}")),
+    })
+}
+
+fn machine(name: Option<&str>) -> Result<MachineConfig, String> {
+    Ok(match name.unwrap_or("6130") {
         "6130" => MachineConfig::xeon_gold_6130(),
         "6240" => MachineConfig::xeon_gold_6240(),
         "i5" => MachineConfig::i5_7600(),
-        other => {
-            eprintln!("unknown machine {other:?}");
-            usage()
-        }
-    }
+        other => return Err(format!("unknown machine {other:?}")),
+    })
 }
 
-/// Tiny flag parser: `--key value` pairs after the subcommand.
-fn flags(args: &[String]) -> Vec<(String, String)> {
-    let mut out = Vec::new();
-    let mut it = args.iter().peekable();
-    while let Some(a) = it.next() {
-        let Some(key) = a.strip_prefix("--") else {
-            eprintln!("unexpected argument {a:?}");
-            usage()
-        };
-        // Boolean flags take no value.
-        if key == "instrumented"
-            || key == "verify-phases"
-            || key == "trace-summary"
-            || key == "tlb-oracle"
-            || key == "wal"
-            || key == "fault-permanent"
-            || key == "no-pressure"
-            || key == "deep"
-            || key == "concurrent"
-        {
-            out.push((key.to_string(), "true".to_string()));
-            continue;
-        }
-        let Some(v) = it.next() else {
-            eprintln!("missing value for --{key}");
-            usage()
-        };
-        out.push((key.to_string(), v.clone()));
-    }
-    out
+fn scheduler(name: &str) -> Result<SchedulerKind, String> {
+    SchedulerKind::parse(name)
+        .ok_or_else(|| format!("unknown scheduler {name:?} (barrier | packets)"))
 }
 
-fn get<'a>(fs: &'a [(String, String)], key: &str) -> Option<&'a str> {
-    fs.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
+/// The configuration `run` and `recover` ask for.
+fn run_config(fs: &Parsed) -> Result<RunConfig, String> {
+    let mut cfg = RunConfig::new(collector(fs.text("--collector"))?);
+    cfg.machine = machine(fs.text("--machine"))?;
+    cfg.heap_factor = fs.get("--heap-factor").unwrap_or(cfg.heap_factor);
+    cfg.gc_threads = fs.get("--gc-threads").unwrap_or(cfg.gc_threads);
+    cfg.steps = fs.get("--steps").or(cfg.steps);
+    cfg.threshold_pages = fs.get("--threshold").or(cfg.threshold_pages);
+    cfg.instrumented = fs.on("--instrumented");
+    cfg.verify_phases = fs.on("--verify-phases");
+    cfg.concurrent = fs.on("--concurrent");
+    cfg.fault_rate = fs.get("--fault-rate").unwrap_or(cfg.fault_rate);
+    cfg.fault_seed = fs.get("--fault-seed").unwrap_or(cfg.fault_seed);
+    cfg.fault_permanent_only = fs.on("--fault-permanent");
+    if let Some(budget) = fs.get("--swap-fallback-budget") {
+        cfg.retry = Some(RetryPolicy::default().with_fallback_budget(Some(budget)));
+    }
+    cfg.deadline_cycles = fs.get("--gc-deadline-cycles").or(cfg.deadline_cycles);
+    if let Some(p) = fs.text("--degrade-policy") {
+        cfg.degrade = DegradePolicy::parse(p)
+            .ok_or_else(|| format!("unknown degrade policy {p:?} (off | standard | standard:N)"))?;
+    }
+    cfg.trace = fs.on("--trace") || fs.on("--trace-summary");
+    cfg.tlb_oracle = fs.on("--tlb-oracle");
+    cfg.wal = fs.on("--wal");
+    if let Some(spec) = fs.text("--crash-plan") {
+        cfg.crash_plans = spec.split(',').map(CrashPlan::parse).collect::<Option<_>>()
+            .ok_or_else(|| format!("bad crash plan {spec:?} (want point[:n],...)"))?;
+    }
+    if let Some(m) = fs.text("--wal-mutate") {
+        cfg.wal_mutation = Some(WalMutation::parse(m).ok_or_else(|| {
+            format!("unknown WAL mutation {m:?} (skip-commit | drop-intent | corrupt-preimage)")
+        })?);
+    }
+    cfg.scheduler = fs.text("--scheduler").map(scheduler).transpose()?.unwrap_or(cfg.scheduler);
+    cfg.core_base = fs.get("--core-base").unwrap_or(cfg.core_base);
+    cfg.dram_fraction = fs.get("--dram-fraction").or(cfg.dram_fraction);
+    cfg.device_fault_rate = fs.get("--device-fault-rate").unwrap_or(cfg.device_fault_rate);
+    cfg.device_fault_seed = fs.get("--device-fault-seed").unwrap_or(cfg.device_fault_seed);
+    cfg.device_offline_after = fs.get("--device-offline-after").or(cfg.device_offline_after);
+    Ok(cfg)
+}
+
+/// The fleet `fleet` asks for.
+fn fleet_spec(fs: &Parsed) -> Result<NoisySpec, String> {
+    let mut spec = NoisySpec::standard(
+        fs.get("--victim-fault-rate").unwrap_or(0.10),
+        fs.get("--seed").unwrap_or(42),
+    );
+    spec.tenants = fs.get("--tenants").unwrap_or(spec.tenants);
+    if let Some(v) = fs.text("--victims") {
+        spec.victims = v.split(',').map(|s| s.trim().parse()).collect::<Result<_, _>>()
+            .map_err(|_| format!("--victims {v:?} is not a list of tenant indices i,j,..."))?;
+    }
+    spec.steps = fs.get("--steps").unwrap_or(spec.steps);
+    spec.live_objects = fs.get("--live-objects").unwrap_or(spec.live_objects);
+    spec.quota_fraction = fs.get("--quota-fraction").unwrap_or(spec.quota_fraction);
+    spec.max_attempts = fs.get("--max-attempts").unwrap_or(spec.max_attempts);
+    spec.pressure = !fs.on("--no-pressure");
+    if spec.victims.iter().any(|&v| v >= spec.tenants) {
+        return Err("--victims indices must be < --tenants".into());
+    }
+    Ok(spec)
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("list") => {
+            or_usage(args::parse(&[], &args[1..], false));
             println!("workloads:");
             for w in suite::standard_suite() {
                 println!(
@@ -232,99 +326,14 @@ fn main() {
         }
         Some(cmd @ ("run" | "recover")) => {
             let do_recover = cmd == "recover";
-            let fs = flags(&args[1..]);
-            let name = get(&fs, "workload").unwrap_or_else(|| {
-                eprintln!("--workload is required");
-                usage()
-            });
-            let mut w = suite::by_name(name).unwrap_or_else(|| {
-                eprintln!("unknown workload {name:?} (try `svagc list`)");
-                std::process::exit(2);
-            });
-            let mut cfg = RunConfig::new(parse_collector(get(&fs, "collector").unwrap_or("svagc")));
-            cfg.machine = parse_machine(get(&fs, "machine").unwrap_or("6130"));
-            if let Some(f) = get(&fs, "heap-factor") {
-                cfg.heap_factor = f.parse().expect("--heap-factor expects a float");
-            }
-            if let Some(t) = get(&fs, "gc-threads") {
-                cfg.gc_threads = t.parse().expect("--gc-threads expects an integer");
-            }
-            if let Some(st) = get(&fs, "steps") {
-                cfg.steps = Some(st.parse().expect("--steps expects an integer"));
-            }
-            if let Some(t) = get(&fs, "threshold") {
-                cfg.threshold_pages = Some(t.parse().expect("--threshold expects pages"));
-            }
-            cfg.instrumented = get(&fs, "instrumented").is_some();
-            cfg.verify_phases = get(&fs, "verify-phases").is_some();
-            cfg.concurrent = get(&fs, "concurrent").is_some();
-            if let Some(p) = get(&fs, "fault-rate") {
-                cfg.fault_rate = p.parse().expect("--fault-rate expects a probability");
-            }
-            if let Some(sd) = get(&fs, "fault-seed") {
-                cfg.fault_seed = sd.parse().expect("--fault-seed expects an integer");
-            }
-            cfg.fault_permanent_only = get(&fs, "fault-permanent").is_some();
-            if let Some(b) = get(&fs, "swap-fallback-budget") {
-                let budget: u64 = b.parse().expect("--swap-fallback-budget expects an integer");
-                cfg.retry = Some(RetryPolicy::default().with_fallback_budget(Some(budget)));
-            }
-            if let Some(d) = get(&fs, "gc-deadline-cycles") {
-                cfg.deadline_cycles =
-                    Some(d.parse().expect("--gc-deadline-cycles expects cycles"));
-            }
-            if let Some(p) = get(&fs, "degrade-policy") {
-                cfg.degrade = DegradePolicy::parse(p).unwrap_or_else(|| {
-                    eprintln!("unknown degrade policy {p:?} (off | standard | standard:N)");
-                    usage()
-                });
-            }
-            let trace_path = get(&fs, "trace");
-            let trace_summary = get(&fs, "trace-summary").is_some();
-            cfg.trace = trace_path.is_some() || trace_summary;
-            cfg.tlb_oracle = get(&fs, "tlb-oracle").is_some();
-            cfg.wal = get(&fs, "wal").is_some();
-            if let Some(spec) = get(&fs, "crash-plan") {
-                for part in spec.split(',') {
-                    match CrashPlan::parse(part) {
-                        Some(p) => cfg.crash_plans.push(p),
-                        None => {
-                            eprintln!("bad crash plan {part:?} (want point[:n])");
-                            usage()
-                        }
-                    }
-                }
-            }
-            if let Some(m) = get(&fs, "wal-mutate") {
-                cfg.wal_mutation = Some(WalMutation::parse(m).unwrap_or_else(|| {
-                    eprintln!(
-                        "unknown WAL mutation {m:?} (skip-commit | drop-intent | corrupt-preimage)"
-                    );
-                    usage()
-                }));
-            }
-            if let Some(s) = get(&fs, "scheduler") {
-                cfg.scheduler = parse_scheduler(s);
-            }
-            if let Some(b) = get(&fs, "core-base") {
-                cfg.core_base = b.parse().expect("--core-base expects an integer");
-            }
-            if let Some(f) = get(&fs, "dram-fraction") {
-                cfg.dram_fraction =
-                    Some(f.parse().expect("--dram-fraction expects a float"));
-            }
-            if let Some(p) = get(&fs, "device-fault-rate") {
-                cfg.device_fault_rate =
-                    p.parse().expect("--device-fault-rate expects a probability");
-            }
-            if let Some(sd) = get(&fs, "device-fault-seed") {
-                cfg.device_fault_seed =
-                    sd.parse().expect("--device-fault-seed expects an integer");
-            }
-            if let Some(n) = get(&fs, "device-offline-after") {
-                cfg.device_offline_after =
-                    Some(n.parse().expect("--device-offline-after expects an integer"));
-            }
+            let fs = or_usage(args::parse(RUN_FLAGS, &args[1..], false));
+            let name = or_usage(fs.text("--workload").ok_or("--workload is required".into()));
+            let mut w = or_usage(
+                suite::by_name(name)
+                    .ok_or_else(|| format!("unknown workload {name:?} (try `svagc list`)")),
+            );
+            let cfg = or_usage(run_config(&fs));
+            let (trace_path, bench_json) = (fs.text("--trace"), fs.text("--bench-json"));
 
             let r0 = Rusage::now();
             let t0 = std::time::Instant::now();
@@ -369,7 +378,7 @@ fn main() {
                             );
                             println!("heap hash    : {:#018x}", rr.content_hash);
                             println!("verify       : ok (bit-identical to the {snapshot} snapshot)");
-                            if let Some(path) = get(&fs, "bench-json") {
+                            if let Some(path) = bench_json {
                                 let mut rep2 = Report::new(
                                     "cli_recover",
                                     &format!("{name} crash recovery ({})", cfg.machine.name),
@@ -496,13 +505,13 @@ fn main() {
                 });
                 println!("trace        : {} events -> {path}", r.trace.len());
             }
-            if trace_summary {
+            if fs.on("--trace-summary") {
                 println!();
                 println!("{}", svagc_metrics::trace_summary(&r.trace, 10, cfg.machine.cores));
                 println!("-- counter registry --");
                 println!("{}", r.registry().render());
             }
-            if let Some(path) = get(&fs, "bench-json") {
+            if let Some(path) = bench_json {
                 let mut rep = Report::new(
                     "cli_run",
                     &format!("{} under {} ({})", r.workload, r.collector, cfg.machine.name),
@@ -528,25 +537,13 @@ fn main() {
             }
         }
         Some("multi") => {
-            let fs = flags(&args[1..]);
-            let n: usize = get(&fs, "jvms")
-                .unwrap_or_else(|| {
-                    eprintln!("--jvms is required");
-                    usage()
-                })
-                .parse()
-                .expect("--jvms expects an integer");
-            let mut base =
-                RunConfig::new(parse_collector(get(&fs, "collector").unwrap_or("svagc")));
-            base.machine = parse_machine(get(&fs, "machine").unwrap_or("6130"));
-            if let Some(t) = get(&fs, "gc-threads") {
-                base.gc_threads = t.parse().expect("--gc-threads expects an integer");
-            } else {
-                base.gc_threads = 4;
-            }
-            if let Some(s) = get(&fs, "scheduler") {
-                base.scheduler = parse_scheduler(s);
-            }
+            let fs = or_usage(args::parse(MULTI_FLAGS, &args[1..], false));
+            let n = or_usage(fs.get("--jvms").ok_or("--jvms is required".into()));
+            let mut base = RunConfig::new(or_usage(collector(fs.text("--collector"))));
+            base.machine = or_usage(machine(fs.text("--machine")));
+            base.gc_threads = fs.get("--gc-threads").unwrap_or(4);
+            base.scheduler = or_usage(fs.text("--scheduler").map(scheduler).transpose())
+                .unwrap_or(base.scheduler);
             let res = run_multi(
                 n,
                 |i| Box::new(LruCache::new(192, 2 << 20, 8, 100 + i as u64)),
@@ -567,43 +564,10 @@ fn main() {
             );
         }
         Some("fleet") => {
-            let fs = flags(&args[1..]);
-            let mut spec = NoisySpec::standard(
-                get(&fs, "victim-fault-rate")
-                    .map(|p| p.parse().expect("--victim-fault-rate expects a probability"))
-                    .unwrap_or(0.10),
-                get(&fs, "seed")
-                    .map(|s| s.parse().expect("--seed expects an integer"))
-                    .unwrap_or(42),
-            );
-            if let Some(n) = get(&fs, "tenants") {
-                spec.tenants = n.parse().expect("--tenants expects an integer");
-            }
-            if let Some(v) = get(&fs, "victims") {
-                spec.victims = v
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("--victims expects indices i,j,..."))
-                    .collect();
-            }
-            if let Some(s) = get(&fs, "steps") {
-                spec.steps = s.parse().expect("--steps expects an integer");
-            }
-            if let Some(l) = get(&fs, "live-objects") {
-                spec.live_objects = l.parse().expect("--live-objects expects an integer");
-            }
-            if let Some(q) = get(&fs, "quota-fraction") {
-                spec.quota_fraction = q.parse().expect("--quota-fraction expects a float");
-            }
-            if let Some(a) = get(&fs, "max-attempts") {
-                spec.max_attempts = a.parse().expect("--max-attempts expects an integer");
-            }
-            spec.pressure = get(&fs, "no-pressure").is_none();
-            if spec.victims.iter().any(|&v| v >= spec.tenants) {
-                eprintln!("--victims indices must be < --tenants");
-                usage()
-            }
+            let fs = or_usage(args::parse(FLEET_FLAGS, &args[1..], false));
+            let spec = or_usage(fleet_spec(&fs));
             let mut base = RunConfig::new(noisy::default_collector());
-            base.machine = parse_machine(get(&fs, "machine").unwrap_or("6130"));
+            base.machine = or_usage(machine(fs.text("--machine")));
             let out = noisy::run_noisy_neighbor(&spec, &base).unwrap_or_else(|e| {
                 eprintln!("fleet FAILED: {e}");
                 std::process::exit(1);
@@ -657,9 +621,9 @@ fn main() {
             }
         }
         Some("protocol-check") => {
-            let fs = flags(&args[1..]);
+            let fs = or_usage(args::parse(PROTOCOL_FLAGS, &args[1..], false));
             let mut universes = vec![("default", ModelConfig::default_check())];
-            if get(&fs, "deep").is_some() {
+            if fs.on("--deep") {
                 // Larger bound: 4 cores x 4 pages x a 3-swap chain. Too slow
                 // for the debug test suite; the CI protocol-check job runs it
                 // in release mode.

@@ -11,6 +11,7 @@
 //! Missing or extra experiments and counters are violations in both
 //! directions.
 
+use crate::args::{Flag, Kind};
 use crate::report::{pct, Table};
 use crate::runner::BENCH_SUMMARY_SCHEMA;
 use std::path::PathBuf;
@@ -56,46 +57,27 @@ pub struct GateArgs {
     pub cfg: GateConfig,
 }
 
+/// `bin/perf_gate`'s flags.
+const FLAGS: &[Flag] = &[
+    ("--baseline", Kind::Text),
+    ("--current", Kind::Text),
+    ("--wall-factor", Kind::Positive),
+    ("--wall-slack-ms", Kind::NonNegative),
+];
+
 /// Parse `bin/perf_gate`'s arguments (program name excluded). Every
-/// argument is checked before any file is read: an unknown or repeated
-/// flag, a flag without its value, a wall factor that is not a positive
-/// number, a slack that is not a non-negative number, or a missing
-/// `--baseline` or `--current` is an error.
+/// argument is checked before any file is read: a malformed flag (see
+/// [`crate::args`]) or a missing `--baseline` or `--current` is an error.
 pub fn parse_gate_args(args: &[String]) -> Result<GateArgs, String> {
-    let (mut baseline, mut current) = (None, None);
-    let (mut factor, mut slack) = (None, None);
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let slot = match flag.as_str() {
-            "--baseline" => &mut baseline,
-            "--current" => &mut current,
-            "--wall-factor" => &mut factor,
-            "--wall-slack-ms" => &mut slack,
-            other => return Err(format!("unknown argument {other:?}")),
-        };
-        let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
-        if slot.replace(value.clone()).is_some() {
-            return Err(format!("{flag} given twice"));
-        }
-    }
-    let number = |flag: &str, value: Option<String>, min_ok: fn(f64) -> bool| match value {
-        None => Ok(None),
-        Some(v) => match v.parse::<f64>() {
-            Ok(x) if x.is_finite() && min_ok(x) => Ok(Some(x)),
-            _ => Err(format!("{flag} {v:?} is not a valid number")),
-        },
-    };
-    let mut cfg = GateConfig::default();
-    if let Some(f) = number("--wall-factor", factor, |x| x > 0.0)? {
-        cfg.wall_factor = f;
-    }
-    if let Some(s) = number("--wall-slack-ms", slack, |x| x >= 0.0)? {
-        cfg.wall_slack_ms = s;
-    }
+    let p = crate::args::parse(FLAGS, args, false)?;
+    let default = GateConfig::default();
     Ok(GateArgs {
-        baseline: baseline.ok_or("--baseline FILE is required")?.into(),
-        current: current.ok_or("--current FILE is required")?.into(),
-        cfg,
+        baseline: p.text("--baseline").ok_or("--baseline FILE is required")?.into(),
+        current: p.text("--current").ok_or("--current FILE is required")?.into(),
+        cfg: GateConfig {
+            wall_factor: p.get("--wall-factor").unwrap_or(default.wall_factor),
+            wall_slack_ms: p.get("--wall-slack-ms").unwrap_or(default.wall_slack_ms),
+        },
     })
 }
 
@@ -315,7 +297,8 @@ mod tests {
             "--wall-factor inf", "--wall-slack-ms 250ms", "--wall-slack-ms -5"]
         {
             let e = args(&format!("--baseline b --current c {bad}")).unwrap_err();
-            assert!(e.contains("is not a valid number"), "{bad}: {e}");
+            let flag = bad.split(' ').next().unwrap();
+            assert!(e.starts_with(flag) && e.contains("is not a finite number"), "{bad}: {e}");
         }
     }
 
@@ -334,9 +317,9 @@ mod tests {
     #[test]
     fn gate_args_reject_an_unknown_or_repeated_flag() {
         let e = args("--baseline b --current c --wall-factr 2").unwrap_err();
-        assert!(e.contains("unknown argument \"--wall-factr\""), "{e}");
+        assert!(e.contains("unknown flag \"--wall-factr\""), "{e}");
         let e = args("--baseline b --current c stray").unwrap_err();
-        assert!(e.contains("unknown argument \"stray\""), "{e}");
+        assert!(e.contains("unexpected argument \"stray\""), "{e}");
         let e = args("--baseline b --current c --baseline d").unwrap_err();
         assert_eq!(e, "--baseline given twice");
     }

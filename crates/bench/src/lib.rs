@@ -9,7 +9,8 @@
 //! * [`report`] — per-experiment report sink, BENCH JSON emitter, and
 //!   table/JSON output helpers.
 //! * [`runner`] — experiment registry, the serial / host-parallel
-//!   runner, and the argument parser of `bin/all`.
+//!   runner, and the arguments of `bin/all`.
+//! * [`args`] — the flag table every binary parses its arguments with.
 //! * [`rusage`] — host CPU time, minor faults and peak RSS from
 //!   `getrusage`, reported beside wall time in BENCH records.
 //! * [`gate`] — perf-regression comparison of a `BENCH_summary.json`
@@ -20,6 +21,7 @@
 //! `--parallel` (simulated output stays byte-identical to serial).
 
 pub mod ablations;
+pub mod args;
 pub mod gate;
 pub mod los;
 pub mod micro;

@@ -9,6 +9,7 @@
 //! loop, and parallel `bin/all` runs re-verify a probe subset serially,
 //! byte-comparing the canonical sim JSON.
 
+use crate::args::{Flag, Kind};
 use crate::render;
 use crate::report::{HostInfo, Report};
 use crate::rusage::Rusage;
@@ -350,31 +351,35 @@ pub fn usage() -> String {
     )
 }
 
+/// `bin/all`'s flags; the experiment ids are positional.
+const FLAGS: &[Flag] = &[
+    ("--parallel", Kind::Switch),
+    ("--check", Kind::Switch),
+    ("--out", Kind::Text),
+];
+
 /// Parse `bin/all`'s arguments (program name excluded). Every argument is
-/// checked before anything runs: an unknown flag, a missing `--out`
-/// directory, or an unknown or repeated id is an error.
+/// checked before anything runs: a malformed flag (see [`crate::args`])
+/// or an unknown or repeated id is an error.
 pub fn parse_args(args: &[String]) -> Result<Args, String> {
-    let mut parsed = Args { ids: Vec::new(), parallel: false, check: false, out: None };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--parallel" => parsed.parallel = true,
-            "--check" => parsed.check = true,
-            "--out" => parsed.out = Some(it.next().ok_or("--out needs a directory")?.into()),
-            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag:?}")),
-            id => {
-                let exp = find(id).ok_or_else(|| format!("unknown experiment {id:?}"))?;
-                if parsed.ids.contains(&exp.id) {
-                    return Err(format!("experiment {id:?} named twice"));
-                }
-                parsed.ids.push(exp.id);
-            }
+    let p = crate::args::parse(FLAGS, args, true)?;
+    let mut ids = Vec::new();
+    for &id in &p.positional {
+        let exp = find(id).ok_or_else(|| format!("unknown experiment {id:?}"))?;
+        if ids.contains(&exp.id) {
+            return Err(format!("experiment {id:?} named twice"));
         }
+        ids.push(exp.id);
     }
-    if parsed.ids.is_empty() {
-        parsed.ids = all_ids();
+    if ids.is_empty() {
+        ids = all_ids();
     }
-    Ok(parsed)
+    Ok(Args {
+        ids,
+        parallel: p.on("--parallel"),
+        check: p.on("--check"),
+        out: p.text("--out").map(PathBuf::from),
+    })
 }
 
 #[cfg(test)]
@@ -417,7 +422,8 @@ mod tests {
             (&["bogus"][..], "unknown experiment"),
             (&["--bogus"], "unknown flag"),
             (&["fig11", "fig11"], "named twice"),
-            (&["fig11", "--out"], "--out needs"),
+            (&["fig11", "--out"], "--out needs a value"),
+            (&["--parallel", "--parallel"], "--parallel given twice"),
         ] {
             let err = parse(args).unwrap_err();
             assert!(err.contains(msg), "{args:?}: {err}");

@@ -367,6 +367,8 @@ impl FarSlot {
 /// checksums, distinct fetch/writeback costs, and seeded fault injection.
 pub struct FarDevice {
     slots: Vec<Option<FarSlot>>,
+    /// How many of `slots` hold data, kept with every fill and empty.
+    in_use: u32,
     /// Returned slots, reused LIFO (deterministic).
     free: Vec<SlotId>,
     /// Next never-allocated slot.
@@ -407,6 +409,7 @@ impl FarDevice {
     pub fn new(capacity: u32) -> FarDevice {
         FarDevice {
             slots: (0..capacity).map(|_| None).collect(),
+            in_use: 0,
             free: Vec::new(),
             next: 0,
             plan: None,
@@ -430,7 +433,7 @@ impl FarDevice {
 
     /// Slots currently holding data.
     pub fn slots_in_use(&self) -> u32 {
-        self.slots.iter().filter(|s| s.is_some()).count() as u32
+        self.in_use
     }
 
     /// Total slot capacity.
@@ -515,7 +518,8 @@ impl FarDevice {
         } else {
             (!zero).then(|| data.into())
         };
-        self.slots[slot.0 as usize] = Some(FarSlot { data, sum });
+        let old = self.slots[slot.0 as usize].replace(FarSlot { data, sum });
+        self.in_use += u32::from(old.is_none());
         self.stats.writebacks += 1;
         if !torn {
             self.stats.slots_peak = self.stats.slots_peak.max(self.slots_in_use());
@@ -594,7 +598,7 @@ impl FarDevice {
     /// [`FarDevice::free_slot`] requires data to be present).
     pub fn release_slot(&mut self, slot: SlotId) {
         if (slot.0 as usize) < self.slots.len() {
-            self.slots[slot.0 as usize] = None;
+            self.in_use -= u32::from(self.slots[slot.0 as usize].take().is_some());
             self.free.push(slot);
         }
     }
@@ -607,6 +611,7 @@ impl FarDevice {
         if self.slots[slot.0 as usize].take().is_none() {
             return Err(DeviceError::BadSlot(slot));
         }
+        self.in_use -= 1;
         self.free.push(slot);
         Ok(())
     }
@@ -620,9 +625,12 @@ impl FarDevice {
         self.free.clear();
         for i in 0..self.slots.len() as u32 {
             let id = SlotId(i);
-            if !live.contains(&id)
-                && (self.slots[i as usize].take().is_some() || i < self.next)
-            {
+            if live.contains(&id) {
+                continue;
+            }
+            let held = self.slots[i as usize].take().is_some();
+            self.in_use -= u32::from(held);
+            if held || i < self.next {
                 self.free.push(id);
             }
         }
@@ -832,6 +840,61 @@ mod tests {
         let mut buf = page(0);
         d.read(a, &mut buf).unwrap();
         assert_eq!(buf, page(1));
+    }
+
+    #[test]
+    fn the_in_use_count_matches_a_recount_under_random_traffic() {
+        let recount = |d: &FarDevice| d.slots.iter().filter(|s| s.is_some()).count() as u32;
+        let pick = |rng: &mut SimRng, v: &[SlotId]| v[rng.gen_range(0..v.len() as u64) as usize];
+        for seed in 0..8 {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let mut d = FarDevice::new(16);
+            let mut allocated = Vec::new();
+            for step in 0..400 {
+                match rng.gen_range(0..7u64) {
+                    0 | 1 => {
+                        if let Ok(s) = d.alloc_slot() {
+                            allocated.push(s);
+                        }
+                    }
+                    2 | 3 if !allocated.is_empty() => {
+                        let s = pick(&mut rng, &allocated);
+                        let fill = if rng.gen_bool(0.3) { 0 } else { step as u8 | 1 };
+                        let _ = d.write(s, &page(fill));
+                    }
+                    4 if !allocated.is_empty() => {
+                        let s = pick(&mut rng, &allocated);
+                        d.set_fault_plan(Some(always_torn()));
+                        d.write(s, &page(step as u8)).unwrap();
+                        d.set_fault_plan(None);
+                    }
+                    5 if !allocated.is_empty() => {
+                        let i = rng.gen_range(0..allocated.len() as u64) as usize;
+                        let s = allocated.swap_remove(i);
+                        // The strict free fails on a never-written slot.
+                        if rng.gen_bool(0.5) || d.free_slot(s).is_err() {
+                            d.release_slot(s);
+                        }
+                    }
+                    6 => {
+                        let live =
+                            allocated.iter().copied().filter(|_| rng.gen_bool(0.5)).collect();
+                        d.retain_slots(&live);
+                        allocated.retain(|s| live.contains(s));
+                    }
+                    _ => {}
+                }
+                assert_eq!(d.slots_in_use(), recount(&d), "seed {seed} step {step}");
+            }
+            // An offline device fails every write and leaves the count alone.
+            let cfg = DeviceFaultConfig::uniform(0.0, seed).with_offline_after(0);
+            d.set_fault_plan(Some(DeviceFaultPlan::new(cfg)));
+            let before = d.slots_in_use();
+            for &s in &allocated {
+                assert_eq!(d.write(s, &page(3)), Err(DeviceError::Offline));
+            }
+            assert_eq!((d.slots_in_use(), recount(&d)), (before, before));
+        }
     }
 
     #[test]

@@ -291,7 +291,8 @@ const STREAMS_PER_JVM: usize = 4;
 /// Run `n` tenants of the workload produced by `make` under `base`,
 /// layered with the fleet's isolation knobs. `tweak(i, cfg)` customizes
 /// tenant `i`'s config last (chaos harnesses seed faults on victims
-/// here). See the module docs for the fault-domain semantics.
+/// here). See the module docs for the fault-domain semantics. A fleet of
+/// no tenants (`n == 0`) is an error.
 pub fn run_fleet<F, T>(
     n: usize,
     make: F,
@@ -303,7 +304,9 @@ where
     F: Fn(usize) -> Box<dyn Workload> + Sync,
     T: Fn(usize, RunConfig) -> RunConfig + Sync,
 {
-    assert!(n >= 1);
+    if n == 0 {
+        return Err("a fleet needs at least one tenant".into());
+    }
     let bandwidth = BandwidthModel::new();
     let _guards: Vec<_> = (0..n * STREAMS_PER_JVM)
         .map(|_| bandwidth.register())
@@ -419,4 +422,18 @@ where
         }
     }
     Ok(MultiJvmResult { n, per_jvm })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::driver::CollectorKind;
+
+    #[test]
+    fn an_empty_fleet_is_an_error_not_a_panic() {
+        let base = RunConfig::new(CollectorKind::Svagc);
+        let make = |_| -> Box<dyn Workload> { unreachable!("an empty fleet builds no tenant") };
+        let err = run_multi(0, make, &base).unwrap_err();
+        assert_eq!(err, "a fleet needs at least one tenant");
+    }
 }
