@@ -12,8 +12,10 @@ use svagc_bench::args::{self, at_least, Flag, Kind, Parsed};
 use svagc_bench::report::{HostInfo, Report};
 use svagc_bench::rusage::Rusage;
 use svagc_core::protocol::{self, ModelConfig};
-use svagc_core::{CycleClass, DegradePolicy, DegradedMode, RetryPolicy, SchedulerKind};
-use svagc_kernel::{CrashPlan, FlushMode, WalMutation};
+use svagc_core::{
+    CycleClass, DegradePolicy, DegradedMode, RetryPolicy, SchedulerKind, TierPolicy,
+};
+use svagc_kernel::{CrashPlan, DeviceFaultConfig, FaultConfig, FlushMode, WalMutation};
 use svagc_metrics::MachineConfig;
 use svagc_workloads::driver::{run_with_crash, CollectorKind, CrashOutcome, RunConfig};
 use svagc_workloads::lrucache::LruCache;
@@ -32,7 +34,7 @@ fn usage() -> ! {
             [--swap-fallback-budget <n>] [--verify-phases]
             [--gc-deadline-cycles <n>] [--degrade-policy off|standard|standard:N]
             [--trace <out.json>] [--trace-summary] [--bench-json <out.json>]
-            [--tlb-oracle] [--wal] [--crash-plan <pt[:n],...>]
+            [--tlb-oracle] [--crash-plan <pt[:n],...>]
             [--wal-mutate skip-commit|drop-intent|corrupt-preimage]
             [--scheduler barrier|packets] [--core-base <n>] [--concurrent]
             [--dram-fraction <f in [0,1]>] [--device-fault-rate <p in [0,1]>]
@@ -102,8 +104,6 @@ fn usage() -> ! {
                       hit is cross-checked against the live page table
                       and every flush audited against the Algorithm 4
                       preconditions; any violation fails the run
-  --wal               arm the kernel write-ahead journal for PTE-mutating
-                      GC operations (implied by --crash-plan)
   --crash-plan        seeded crash points, comma-separated `point[:n]`
                       (the machine dies at the n-th occurrence; n
                       defaults to 1): before-batch, inside-batch,
@@ -153,6 +153,12 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// Seed of the SwapVA fault plan when `--fault-seed` is not given.
+const FAULT_SEED: u64 = 0xFA017;
+/// Seed of the far-device fault plan when `--device-fault-seed` is not
+/// given.
+const DEVICE_FAULT_SEED: u64 = 0xD1CE;
+
 /// The flags of `run` and `recover`.
 const RUN_FLAGS: &[Flag] = &[
     ("--workload", Kind::Text),
@@ -174,7 +180,6 @@ const RUN_FLAGS: &[Flag] = &[
     ("--trace", Kind::Text),
     ("--trace-summary", Kind::Switch),
     ("--tlb-oracle", Kind::Switch),
-    ("--wal", Kind::Switch),
     ("--crash-plan", Kind::Text),
     ("--wal-mutate", Kind::Text),
     ("--scheduler", Kind::Text),
@@ -253,9 +258,16 @@ fn run_config(fs: &Parsed) -> Result<RunConfig, String> {
     cfg.instrumented = fs.on("--instrumented");
     cfg.verify_phases = fs.on("--verify-phases");
     cfg.concurrent = fs.on("--concurrent");
-    cfg.fault_rate = fs.get("--fault-rate").unwrap_or(cfg.fault_rate);
-    cfg.fault_seed = fs.get("--fault-seed").unwrap_or(cfg.fault_seed);
-    cfg.fault_permanent_only = fs.on("--fault-permanent");
+    let seed = fs.get("--fault-seed").unwrap_or(FAULT_SEED);
+    // A zero rate injects nothing, and such a run prints no resilience
+    // line, as one without the flag.
+    cfg.faults = fs.get("--fault-rate").filter(|&p| p > 0.0).map(|p| {
+        if fs.on("--fault-permanent") {
+            FaultConfig::permanent_only(p, seed)
+        } else {
+            FaultConfig::uniform(p, seed)
+        }
+    });
     if let Some(budget) = fs.get("--swap-fallback-budget") {
         cfg.retry = Some(RetryPolicy::default().with_fallback_budget(Some(budget)));
     }
@@ -266,7 +278,6 @@ fn run_config(fs: &Parsed) -> Result<RunConfig, String> {
     }
     cfg.trace = fs.on("--trace") || fs.on("--trace-summary");
     cfg.tlb_oracle = fs.on("--tlb-oracle");
-    cfg.wal = fs.on("--wal");
     if let Some(spec) = fs.text("--crash-plan") {
         cfg.crash_plans = spec.split(',').map(CrashPlan::parse).collect::<Option<_>>()
             .ok_or_else(|| format!("bad crash plan {spec:?} (want point[:n],...)"))?;
@@ -278,10 +289,14 @@ fn run_config(fs: &Parsed) -> Result<RunConfig, String> {
     }
     cfg.scheduler = fs.text("--scheduler").map(scheduler).transpose()?.unwrap_or(cfg.scheduler);
     cfg.core_base = fs.get("--core-base").unwrap_or(cfg.core_base);
-    cfg.dram_fraction = fs.get("--dram-fraction").or(cfg.dram_fraction);
-    cfg.device_fault_rate = fs.get("--device-fault-rate").unwrap_or(cfg.device_fault_rate);
-    cfg.device_fault_seed = fs.get("--device-fault-seed").unwrap_or(cfg.device_fault_seed);
-    cfg.device_offline_after = fs.get("--device-offline-after").or(cfg.device_offline_after);
+    cfg.tier = fs.get("--dram-fraction").map(TierPolicy::new);
+    cfg.device_faults = Some(DeviceFaultConfig {
+        offline_after: fs.get("--device-offline-after"),
+        ..DeviceFaultConfig::uniform(
+            fs.get("--device-fault-rate").unwrap_or(0.0),
+            fs.get("--device-fault-seed").unwrap_or(DEVICE_FAULT_SEED),
+        )
+    });
     Ok(cfg)
 }
 
@@ -452,7 +467,7 @@ fn main() {
                     r.perf.dtlb_miss_pct()
                 );
             }
-            if cfg.fault_rate > 0.0 {
+            if cfg.faults.is_some() {
                 println!(
                     "resilience   : {} faults injected | {} retries | {} fallbacks | {} batch splits",
                     r.gc.total_faults_injected(),
@@ -568,11 +583,12 @@ fn main() {
             let spec = or_usage(fleet_spec(&fs));
             let mut base = RunConfig::new(noisy::default_collector());
             base.machine = or_usage(machine(fs.text("--machine")));
+            let (quota, headroom) =
+                or_usage(noisy::quota_frames(&spec, &base).map_err(|e| e.to_string()));
             let out = noisy::run_noisy_neighbor(&spec, &base).unwrap_or_else(|e| {
                 eprintln!("fleet FAILED: {e}");
                 std::process::exit(1);
             });
-            let (quota, headroom) = noisy::quota_frames(&spec, base.heap_factor);
             println!(
                 "fleet        : {} tenants x {} quota frames ({} GC headroom), \
                  pressure {}",

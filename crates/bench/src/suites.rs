@@ -3,6 +3,7 @@
 //! Each function returns serializable rows; [`crate::render`] turns them
 //! into tables + JSON. Everything is deterministic.
 
+use svagc_core::TierPolicy;
 use svagc_metrics::{impl_to_json, par_map, MachineConfig};
 use svagc_workloads::driver::{run, CollectorKind, RunConfig, RunResult};
 use svagc_workloads::lrucache::LruCache;
@@ -671,10 +672,10 @@ pub fn tiering_resilience_rows() -> Vec<TieringResilienceRow> {
         let mut w = suite::by_name("LRUCache").expect("LRUCache is a suite workload");
         let mut cfg = RunConfig::new(kind).with_verify_phases(true);
         if frac < 1.0 {
-            cfg = cfg.with_tiering(frac).with_tier_batch(4096);
-            if rate > 0.0 {
-                cfg = cfg.with_device_faults(rate, DEVICE_SEED);
-            }
+            // Raise the per-pass demotion cap so the DRAM fraction is
+            // actually reached.
+            cfg.tier = Some(TierPolicy { max_batch: 4096, ..TierPolicy::new(frac) });
+            cfg = cfg.with_device_faults(rate, DEVICE_SEED);
         }
         let r = run(w.as_mut(), &cfg)
             .unwrap_or_else(|e| panic!("tiering_resilience f={frac} p={rate}: {e}"));

@@ -133,8 +133,13 @@ fn cases() -> Vec<(&'static str, &'static [&'static str], &'static str)> {
         ),
         (
             cli,
-            &["run", "--workload", "Bisort", "--wal", "--wal"],
-            "--wal given twice",
+            &["run", "--workload", "Bisort", "--tlb-oracle", "--tlb-oracle"],
+            "--tlb-oracle given twice",
+        ),
+        (
+            cli,
+            &["run", "--workload", "Bisort", "--wal"],
+            "unknown flag \"--wal\"",
         ),
         (
             cli,
@@ -175,6 +180,13 @@ fn cases() -> Vec<(&'static str, &'static [&'static str], &'static str)> {
             "given twice",
         ),
         (cli, &["fleet", "--seed"], "--seed needs a value"),
+        // A quota beyond what a tenant's kernel holds is refused before
+        // any tenant runs.
+        (
+            cli,
+            &["fleet", "--quota-fraction", "1e9", "--steps", "2"],
+            "more than the",
+        ),
         (cli, &["protocol-check", "--bogus"], "unknown flag"),
         (
             cli,

@@ -58,7 +58,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::device::{DeviceStats, FarDevice, SlotId};
+use crate::device::{DeviceError, DeviceStats, FarDevice, SlotId};
 use crate::fault::CrashPoint;
 use crate::retry::RetryPolicy;
 use crate::state::Kernel;
@@ -327,6 +327,34 @@ impl FarTier {
     fn note_far(&mut self) {
         self.stats.far_peak = self.stats.far_peak.max(self.far);
     }
+
+    /// Run one device request (a writeback with its verify, or a fetch)
+    /// under the retry policy: a transient failure burns its cycles and a
+    /// backoff, counts as a writeback or fetch retry, and is tried again.
+    /// Returns the cycles of every attempt together, or the number of
+    /// attempts once the request failed for good.
+    fn retried(
+        &mut self,
+        writeback: bool,
+        mut request: impl FnMut(&mut FarDevice) -> Result<Cycles, DeviceError>,
+    ) -> Result<Cycles, u32> {
+        let mut t = Cycles::ZERO;
+        let mut attempts = 0u32;
+        loop {
+            attempts += 1;
+            match request(&mut self.device) {
+                Ok(c) => return Ok(t + c),
+                Err(e) if e.is_transient() && attempts <= self.retry.max_retries => {
+                    let back = self.retry.backoff(attempts);
+                    t += e.spent() + back;
+                    let st = &mut self.stats;
+                    *if writeback { &mut st.writeback_retries } else { &mut st.fetch_retries } += 1;
+                    st.backoff_cycles += back.0;
+                }
+                Err(_) => return Err(attempts),
+            }
+        }
+    }
 }
 
 impl Kernel {
@@ -420,32 +448,14 @@ impl Kernel {
         let mut t = Cycles(self.machine.costs.tlb_refill);
         let bytes = self.vmem.phys.frame_bytes(frame)?;
         let slot = tier.device.alloc_slot().map_err(|_| TierError::DeviceFull)?;
-        let mut attempts = 0u32;
-        loop {
-            attempts += 1;
-            let wrote = tier
-                .device
-                .write(slot, bytes)
-                .and_then(|c| Ok(c + tier.device.verify(slot)?));
-            match wrote {
-                Ok(c) => {
-                    t += c;
-                    break;
-                }
-                Err(e) if e.is_transient() && attempts <= tier.retry.max_retries => {
-                    let back = tier.retry.backoff(attempts);
-                    t += e.spent() + back;
-                    tier.stats.writeback_retries += 1;
-                    tier.stats.backoff_cycles += back.0;
-                }
-                Err(_) => {
-                    // Permanent: the page never left DRAM. Unwind the slot
-                    // and report gracefully so the policy layer can degrade.
-                    tier.device.release_slot(slot);
-                    return Err(TierError::WritebackFailed { frame, attempts });
-                }
-            }
-        }
+        t += tier
+            .retried(true, |d| d.write(slot, bytes).and_then(|c| Ok(c + d.verify(slot)?)))
+            .map_err(|attempts| {
+                // Permanent: the page never left DRAM. Unwind the slot and
+                // report gracefully so the policy layer can degrade.
+                tier.device.release_slot(slot);
+                TierError::WritebackFailed { frame, attempts }
+            })?;
         // Crash window: the device holds the copy but the WAL record is
         // not durable. Recovery sees no record → the page stays resident
         // (the DRAM copy is intact) and the slot is reclaimed as orphaned.
@@ -527,24 +537,9 @@ impl Kernel {
         let Some(slot) = tier.slot_of(frame) else {
             return Ok(Cycles::ZERO);
         };
-        let mut t = Cycles::ZERO;
-        let mut attempts = 0u32;
-        loop {
-            attempts += 1;
-            match tier.device.fetch(slot) {
-                Ok(c) => {
-                    t += c;
-                    break;
-                }
-                Err(e) if e.is_transient() && attempts <= tier.retry.max_retries => {
-                    let back = tier.retry.backoff(attempts);
-                    t += e.spent() + back;
-                    tier.stats.fetch_retries += 1;
-                    tier.stats.backoff_cycles += back.0;
-                }
-                Err(_) => return Err(TierError::FetchLost { frame, attempts }),
-            }
-        }
+        let mut t = tier
+            .retried(false, |d| d.fetch(slot))
+            .map_err(|attempts| TierError::FetchLost { frame, attempts })?;
         if gate {
             // Crash window: the fetch returned but nothing landed. The
             // residency table and slot are untouched; recovery re-fetches.

@@ -133,16 +133,12 @@ pub struct RunConfig {
     pub asid: u16,
     /// Override the swap threshold in pages (`None` = paper default 10).
     pub threshold_pages: Option<u64>,
-    /// Per-swap-request fault-injection probability (0.0 = off), split
-    /// across failure modes per [`FaultConfig::uniform`].
-    pub fault_rate: f64,
-    /// Seed of the fault plan (same seed + rate ⇒ same fault sequence).
-    pub fault_seed: u64,
-    /// Restrict injected faults to the permanent, non-retryable modes
-    /// (`EINVAL`/`ENOMEM`) instead of the production-skewed uniform mix —
-    /// the profile that defeats retries and exercises fallbacks, fallback
-    /// budgets, and transactional rollback.
-    pub fault_permanent_only: bool,
+    /// Seeded SwapVA fault injection (`None` = fault-free): the
+    /// production-skewed [`FaultConfig::uniform`] mix, or
+    /// [`FaultConfig::permanent_only`], the profile that defeats retries
+    /// and exercises fallbacks, fallback budgets and transactional
+    /// rollback. Same seed and rates ⇒ the same fault sequence.
+    pub faults: Option<FaultConfig>,
     /// Run the heap verifier after every LISP2 phase.
     pub verify_phases: bool,
     /// Per-phase GC watchdog deadline in virtual cycles (`None` = no
@@ -168,12 +164,11 @@ pub struct RunConfig {
     /// fault an unrecoverable abort — the profile behind the fault-abort
     /// exit code.
     pub retry: Option<RetryPolicy>,
-    /// Arm the kernel's write-ahead journal for PTE-mutating GC
-    /// operations (automatic whenever `crash_plans` is non-empty).
-    pub wal: bool,
     /// Seeded crash points: the simulated machine dies at the chosen
     /// occurrence, preserving only durable state (vmem, page tables,
-    /// write-ahead log). Non-empty plans imply `wal`.
+    /// write-ahead log). Non-empty plans arm the kernel's write-ahead log
+    /// for PTE-mutating GC operations: without it a crash would be
+    /// unrecoverable by construction.
     pub crash_plans: Vec<CrashPlan>,
     /// Seeded write-ahead-log mutation (the crash-matrix teeth: a
     /// protocol corruption recovery MUST detect and fail closed on).
@@ -202,31 +197,42 @@ pub struct RunConfig {
     /// the STW run's. The baselines ignore the flag: Shenandoah always
     /// marks concurrently, ParallelGC never does.
     pub concurrent: bool,
-    /// Arm cold-object tiering: keep this fraction of the heap's
-    /// committed pages resident in DRAM and demote the cold rest to a
-    /// simulated far-memory device after every GC cycle (`None` = no
-    /// far tier; behavior byte-identical to pre-tier runs). The run ends
-    /// with a promote-all and the invisibility oracle: residency and
-    /// device empty, heap hash equal to the DRAM-only run's.
-    pub dram_fraction: Option<f64>,
-    /// Per-device-request fault probability (0.0 = fault-free device),
-    /// split across transient EIO / latency spikes / torn writebacks per
-    /// [`DeviceFaultConfig::uniform`].
-    pub device_fault_rate: f64,
-    /// Seed of the device fault plan.
-    pub device_fault_seed: u64,
-    /// Deterministically take the device offline for good after this
-    /// many requests (`None` = never). The ladder's permanent rung:
-    /// writebacks degrade to DRAM-only, lost fetches end the run with
-    /// the device-failed exit code.
-    pub device_offline_after: Option<u64>,
-    /// Override of [`TierPolicy::max_batch`] (pages demoted per GC
-    /// pass). The default cap bounds the added pause; sweeps that want
-    /// the DRAM-fraction target actually reached raise it.
-    pub tier_max_batch: Option<usize>,
+    /// Cold-object tiering (`None` = no far tier; behavior
+    /// byte-identical to pre-tier runs): keep the policy's DRAM fraction
+    /// of the heap's committed pages resident and demote the cold rest,
+    /// at most [`TierPolicy::max_batch`] pages a pass, to a simulated
+    /// far-memory device after every GC cycle. The run ends with a
+    /// promote-all and the invisibility oracle: residency and device
+    /// empty, heap hash equal to the DRAM-only run's. Tiering arms the
+    /// write-ahead log too: recovery rebuilds residency from its records.
+    pub tier: Option<TierPolicy>,
+    /// Seeded far-device fault injection (`None` = fault-free device;
+    /// no effect without `tier`): transient EIO, latency spikes and torn
+    /// writebacks per [`DeviceFaultConfig::uniform`], which the retry
+    /// ladder absorbs. [`DeviceFaultConfig::offline_after`] takes the
+    /// device offline for good, the ladder's permanent rung: writebacks
+    /// degrade to DRAM-only, lost fetches end the run with the
+    /// device-failed exit code.
+    pub device_faults: Option<DeviceFaultConfig>,
 }
 
+/// Simulated memory a run's kernel is built with beyond its heap's.
+pub(crate) const KERNEL_SLACK_BYTES: u64 = 16 << 20;
+
 impl RunConfig {
+    /// Heap capacity of a run of a workload whose minimum heap is
+    /// `min_heap` bytes: the minimum times the heap factor. An aligned
+    /// (Algorithm 3) heap's minimum includes its internal fragmentation,
+    /// which the paper bounds under 5% at the 10-page threshold.
+    pub(crate) fn heap_bytes(&self, min_heap: u64) -> u64 {
+        let min_effective = if self.collector.aligned_heap() {
+            (min_heap as f64 * 1.05) as u64
+        } else {
+            min_heap
+        };
+        (min_effective as f64 * self.heap_factor) as u64
+    }
+
     /// Defaults: Xeon 6130, 1.2× heap, SVAGC, 8 GC threads.
     pub fn new(collector: CollectorKind) -> RunConfig {
         RunConfig {
@@ -240,16 +246,13 @@ impl RunConfig {
             effective_cores: None,
             asid: 1,
             threshold_pages: None,
-            fault_rate: 0.0,
-            fault_seed: 0xFA017,
-            fault_permanent_only: false,
+            faults: None,
             verify_phases: false,
             deadline_cycles: None,
             degrade: DegradePolicy::off(),
             trace: false,
             tlb_oracle: false,
             retry: None,
-            wal: false,
             crash_plans: Vec::new(),
             wal_mutation: None,
             scheduler: SchedulerKind::Barrier,
@@ -258,36 +261,20 @@ impl RunConfig {
             pressure: false,
             wal_namespace: 0,
             concurrent: false,
-            dram_fraction: None,
-            device_fault_rate: 0.0,
-            device_fault_seed: 0xD1CE,
-            device_offline_after: None,
-            tier_max_batch: None,
+            tier: None,
+            device_faults: None,
         }
     }
 
     /// Arm cold-object tiering at the given resident DRAM fraction.
     pub fn with_tiering(mut self, dram_fraction: f64) -> RunConfig {
-        self.dram_fraction = Some(dram_fraction);
+        self.tier = Some(TierPolicy::new(dram_fraction));
         self
     }
 
     /// Enable deterministic far-device fault injection at probability `p`.
     pub fn with_device_faults(mut self, p: f64, seed: u64) -> RunConfig {
-        self.device_fault_rate = p;
-        self.device_fault_seed = seed;
-        self
-    }
-
-    /// Kill the far device permanently after `n` requests.
-    pub fn with_device_offline_after(mut self, n: u64) -> RunConfig {
-        self.device_offline_after = Some(n);
-        self
-    }
-
-    /// Raise the per-pass demotion cap (pages per GC cycle).
-    pub fn with_tier_batch(mut self, max_batch: usize) -> RunConfig {
-        self.tier_max_batch = Some(max_batch);
+        self.device_faults = Some(DeviceFaultConfig::uniform(p, seed));
         self
     }
 
@@ -317,8 +304,7 @@ impl RunConfig {
 
     /// Enable deterministic SwapVA fault injection at probability `p`.
     pub fn with_faults(mut self, p: f64, seed: u64) -> RunConfig {
-        self.fault_rate = p;
-        self.fault_seed = seed;
+        self.faults = Some(FaultConfig::uniform(p, seed));
         self
     }
 
@@ -352,7 +338,7 @@ impl RunConfig {
         self
     }
 
-    /// Install seeded crash points (implies the write-ahead journal).
+    /// Install seeded crash points (arms the write-ahead log).
     pub fn with_crash_plans(mut self, plans: Vec<CrashPlan>) -> RunConfig {
         self.crash_plans = plans;
         self
@@ -758,16 +744,8 @@ fn run_inner(
     cfg: &RunConfig,
 ) -> Result<RunEnd, Box<RunFailure>> {
     let min_heap = workload.min_heap_bytes();
-    // An aligned (Algorithm 3) heap's "minimum required size" includes its
-    // internal fragmentation — the paper bounds it under 5% at the
-    // 10-page threshold.
-    let min_effective = if cfg.collector.aligned_heap() {
-        (min_heap as f64 * 1.05) as u64
-    } else {
-        min_heap
-    };
-    let heap_bytes = (min_effective as f64 * cfg.heap_factor) as u64;
-    let mut kernel = Kernel::with_bytes(cfg.machine.clone(), heap_bytes + (16 << 20));
+    let heap_bytes = cfg.heap_bytes(min_heap);
+    let mut kernel = Kernel::with_bytes(cfg.machine.clone(), heap_bytes + KERNEL_SLACK_BYTES);
     if let Some(bw) = &cfg.bandwidth {
         kernel.share_bandwidth(bw);
     }
@@ -777,9 +755,7 @@ fn run_inner(
     // runs the figure and chaos suites under it without touching code).
     let oracle_on = cfg.tlb_oracle || std::env::var_os("SVAGC_TLB_ORACLE").is_some();
     kernel.set_tlb_oracle(oracle_on);
-    // Crash plans without a journal would be unrecoverable by
-    // construction; arming them arms the WAL.
-    kernel.set_wal_enabled(cfg.wal || !cfg.crash_plans.is_empty());
+    kernel.set_wal_enabled(!cfg.crash_plans.is_empty() || cfg.tier.is_some());
     kernel.set_wal_namespace(cfg.wal_namespace);
     kernel.set_wal_mutation(cfg.wal_mutation);
     if !cfg.crash_plans.is_empty() {
@@ -810,42 +786,21 @@ fn run_inner(
         Box::new(RunFailure { kind: classify(&g), message: g.to_string() })
     })?;
     let collector = cfg.collector.build(cfg);
-    if cfg.fault_rate > 0.0 {
-        let fc = if cfg.fault_permanent_only {
-            FaultConfig::permanent_only(cfg.fault_rate, cfg.fault_seed)
-        } else {
-            FaultConfig::uniform(cfg.fault_rate, cfg.fault_seed)
-        };
-        kernel.set_fault_plan(Some(FaultPlan::new(fc)));
-    }
-    if cfg.dram_fraction.is_some() {
+    kernel.set_fault_plan(cfg.faults.map(FaultPlan::new));
+    if cfg.tier.is_some() {
         // Device capacity covers the whole heap plus slack: capacity is
         // never the failure under test, DeviceFull only steers policy.
         let capacity = (heap_bytes / svagc_vmem::PAGE_SIZE) as u32 + 64;
         let mut device = FarDevice::new(capacity);
-        if cfg.device_fault_rate > 0.0 || cfg.device_offline_after.is_some() {
-            let mut dc =
-                DeviceFaultConfig::uniform(cfg.device_fault_rate, cfg.device_fault_seed);
-            if let Some(n) = cfg.device_offline_after {
-                dc = dc.with_offline_after(n);
-            }
-            device.set_fault_plan(Some(DeviceFaultPlan::new(dc)));
-        }
+        device.set_fault_plan(cfg.device_faults.map(DeviceFaultPlan::new));
         kernel.set_far_tier(Some(FarTier::new(device, RetryPolicy::default())));
-        // fold_epochs partitions tier records out of the GC epoch stream,
-        // so recovery needs the journal whenever residency can change.
-        kernel.set_wal_enabled(true);
     }
 
     let mut env = JvmEnv::new(&mut kernel, heap, collector);
     if cfg.pressure {
         env.pressure = PressureEscalator::new(true);
     }
-    if let Some(frac) = cfg.dram_fraction {
-        let mut policy = TierPolicy::new(frac);
-        if let Some(b) = cfg.tier_max_batch {
-            policy.max_batch = b;
-        }
+    if let Some(policy) = cfg.tier {
         env.tier = TierController::new(policy);
     }
     let steps = cfg.steps.unwrap_or_else(|| workload.default_steps());

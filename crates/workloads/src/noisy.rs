@@ -21,10 +21,12 @@
 //!   survivors' footprints exactly, with a clean ownership audit.
 
 use crate::churn::{ChurnSpec, ChurnWorkload, SizeDist};
-use crate::driver::{CollectorKind, RunConfig};
+use crate::driver::{CollectorKind, RunConfig, KERNEL_SLACK_BYTES};
 use crate::multijvm::{isolation_oracle, run_fleet, FleetConfig, FleetResult};
 use crate::workload::Workload;
 use svagc_core::RetryPolicy;
+use svagc_kernel::FaultConfig;
+use svagc_vmem::PAGE_SIZE;
 
 /// Parameters of one noisy-neighbor experiment.
 #[derive(Debug, Clone)]
@@ -110,30 +112,62 @@ pub struct NoisyOutcome {
     pub frames_audited: u32,
 }
 
+/// A per-tenant frame quota no tenant could be charged: more than the
+/// frames a tenant's kernel is built with, or more than a pool of every
+/// tenant's quota can count in 32 bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QuotaTooLarge {
+    /// The quota the spec asks for, in frames.
+    pub quota: u64,
+    /// The largest quota this fleet can hold, in frames.
+    pub limit: u64,
+}
+
+impl std::fmt::Display for QuotaTooLarge {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "the quota fraction asks for {} frames per tenant, more than the {} a tenant \
+             can be charged",
+            self.quota, self.limit
+        )
+    }
+}
+
+impl std::error::Error for QuotaTooLarge {}
+
 /// Size the fleet's quotas off the workload: the eager footprint of the
 /// *worst* tenant's heap in pages (capacity at the driver's 1.05 alignment
-/// margin and heap factor, plus the TLAB front-end's reserve), scaled by
-/// `quota_fraction`. Tenant `i` churns with `seed + i`, and
+/// margin and `base`'s heap factor, plus the TLAB front-end's reserve),
+/// scaled by `quota_fraction`. Tenant `i` churns with `seed + i`, and
 /// [`ChurnWorkload`]'s minimum-heap estimate is seed-exact — sizing off
 /// tenant 0 alone would starve whichever tenant drew the most heavy-tail
-/// objects.
-pub fn quota_frames(spec: &NoisySpec, heap_factor: f64) -> (u32, u32) {
+/// objects. Returns `(quota, headroom)` in frames, or the error when the
+/// quota exceeds the worst tenant's kernel frames or the pool size.
+pub fn quota_frames(spec: &NoisySpec, base: &RunConfig) -> Result<(u32, u32), QuotaTooLarge> {
     let min_heap = (0..spec.tenants.max(1))
         .map(|i| noisy_workload(spec, i).min_heap_bytes())
         .max()
         .unwrap_or(0);
-    let eager_pages = ((min_heap as f64 * 1.05 * heap_factor) / 4096.0).ceil() as u32 + 2;
-    let quota = ((eager_pages as f64 * spec.quota_fraction) as u32).max(8);
+    let eager_pages = ((min_heap as f64 * 1.05 * base.heap_factor) / 4096.0).ceil() as u64 + 2;
+    let quota = ((eager_pages as f64 * spec.quota_fraction) as u64).max(8);
+    let kernel_frames = (base.heap_bytes(min_heap) + KERNEL_SLACK_BYTES).div_ceil(PAGE_SIZE);
+    let limit = kernel_frames.min(u64::from(u32::MAX) / spec.tenants.max(1) as u64);
+    if quota > limit {
+        return Err(QuotaTooLarge { quota, limit });
+    }
+    let quota = quota as u32;
     // GC headroom: enough for SwapVA side buffers and a minor eden.
     let headroom = (quota / 10).max(4);
-    (quota, headroom)
+    Ok((quota, headroom))
 }
 
 /// Run the experiment: the faulty fleet, its fault-free twin, and both
 /// oracles. An oracle violation is an `Err` — the harness treats it as a
 /// broken blast radius, not a tenant failure.
 pub fn run_noisy_neighbor(spec: &NoisySpec, base: &RunConfig) -> Result<NoisyOutcome, String> {
-    let (quota, headroom) = quota_frames(spec, base.heap_factor);
+    let (quota, headroom) = quota_frames(spec, base).map_err(|e| e.to_string())?;
+    // Cannot overflow: `quota_frames` bounds the quota by the pool's.
     let pool_frames = quota * spec.tenants as u32;
     let fleet = FleetConfig::pooled(pool_frames, quota, headroom)
         .with_pressure(spec.pressure)
@@ -147,9 +181,10 @@ pub fn run_noisy_neighbor(spec: &NoisySpec, base: &RunConfig) -> Result<NoisyOut
             &fleet,
             |i, mut cfg| {
                 if faults && spec.victims.contains(&i) {
-                    cfg.fault_rate = spec.victim_fault_rate;
-                    cfg.fault_seed = spec.seed ^ 0xBAD_F00D ^ (i as u64);
-                    cfg.fault_permanent_only = true;
+                    cfg.faults = Some(FaultConfig::permanent_only(
+                        spec.victim_fault_rate,
+                        spec.seed ^ 0xBAD_F00D ^ (i as u64),
+                    ));
                     // Zero fallback budget: a permanent fault aborts the
                     // cycle instead of quietly degrading to memmove.
                     cfg.retry =

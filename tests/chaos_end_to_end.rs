@@ -3,6 +3,7 @@
 //! per-phase verifier must stay silent, and the final live heap must be
 //! bit-identical to a fault-free run of the same workload.
 
+use svagc::kernel::FaultConfig;
 use svagc::workloads::driver::{run, CollectorKind, RunConfig, RunResult};
 use svagc::workloads::suite;
 
@@ -126,7 +127,6 @@ fn permanent_only_faults_abort_rollback_and_degrade() {
     let run_kind = |fault_rate: f64| {
         let mut w = suite::by_name("LRUCache").unwrap();
         let mut cfg = RunConfig::new(CollectorKind::Svagc)
-            .with_faults(fault_rate, CHAOS_SEED)
             .with_verify_phases(true)
             .with_degrade(svagc::gc::DegradePolicy::standard());
         cfg.retry = Some(svagc::gc::RetryPolicy {
@@ -134,7 +134,7 @@ fn permanent_only_faults_abort_rollback_and_degrade() {
             fallback_budget: Some(0),
             ..svagc::gc::RetryPolicy::default()
         });
-        cfg.fault_permanent_only = true;
+        cfg.faults = Some(FaultConfig::permanent_only(fault_rate, CHAOS_SEED));
         cfg.gc_threads = 8;
         run(w.as_mut(), &cfg).unwrap_or_else(|e| panic!("p={fault_rate}: {e}"))
     };

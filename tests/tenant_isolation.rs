@@ -55,7 +55,7 @@ fn oom_quarantine_is_tenant_local_and_typed() {
         ..NoisySpec::standard(0.0, 7)
     };
     let base = RunConfig::new(default_collector());
-    let (quota, headroom) = quota_frames(&spec, base.heap_factor);
+    let (quota, headroom) = quota_frames(&spec, &base).expect("the standard quota fits");
     let fleet = FleetConfig::pooled(quota * spec.tenants as u32, quota, headroom)
         .with_pressure(true)
         .with_max_attempts(2);
@@ -115,7 +115,7 @@ fn pressure_ladder_is_the_difference_between_survival_and_typed_oom() {
         ..NoisySpec::standard(0.0, 7)
     };
     let base = RunConfig::new(default_collector());
-    let (quota, headroom) = quota_frames(&spec, base.heap_factor);
+    let (quota, headroom) = quota_frames(&spec, &base).expect("the standard quota fits");
     let mk_fleet = |pressure: bool| {
         FleetConfig::pooled(quota * spec.tenants as u32, quota, headroom)
             .with_pressure(pressure)

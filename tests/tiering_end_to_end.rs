@@ -6,7 +6,7 @@
 //! with the typed device-failed verdict. Never a panic, never silent
 //! corruption.
 
-use svagc::kernel::{CrashPlan, CrashPoint};
+use svagc::kernel::{CrashPlan, CrashPoint, DeviceFaultConfig, WalMutation};
 use svagc::workloads::driver::{
     run, run_classified, run_with_crash, CollectorKind, CrashOutcome, FailureKind,
     RunConfig, RunResult,
@@ -107,10 +107,10 @@ fn device_fault_matrix_stays_bit_identical() {
 fn early_device_death_degrades_to_dram_only_and_completes() {
     let reference = dram_only_run();
     let mut w = suite::by_name(SEED_WORKLOAD).unwrap();
-    let cfg = RunConfig::new(CollectorKind::Svagc)
+    let mut cfg = RunConfig::new(CollectorKind::Svagc)
         .with_verify_phases(true)
-        .with_tiering(0.3)
-        .with_device_offline_after(0);
+        .with_tiering(0.3);
+    cfg.device_faults = Some(DeviceFaultConfig::uniform(0.0, DEVICE_SEED).with_offline_after(0));
     let r = run(w.as_mut(), &cfg).expect("degraded run must complete");
     assert_eq!(r.tier_mode, "dram-only");
     assert!(r.tier_ctl.degraded >= 1, "the ladder must have degraded");
@@ -130,10 +130,11 @@ fn early_device_death_degrades_to_dram_only_and_completes() {
 #[test]
 fn mid_run_device_death_fails_typed_with_exit_code_16() {
     let mut w = suite::by_name(SEED_WORKLOAD).unwrap();
-    let cfg = RunConfig::new(CollectorKind::Svagc)
+    let mut cfg = RunConfig::new(CollectorKind::Svagc)
         .with_verify_phases(true)
-        .with_tiering(0.3)
-        .with_device_offline_after(500);
+        .with_tiering(0.3);
+    cfg.device_faults =
+        Some(DeviceFaultConfig::uniform(0.0, DEVICE_SEED).with_offline_after(500));
     let f = run_classified(w.as_mut(), &cfg)
         .expect_err("losing far data must fail the run");
     assert_eq!(f.kind, FailureKind::DeviceFailed, "{}", f.message);
@@ -241,6 +242,29 @@ fn crash_mid_cycle_with_far_pages_recovers_verified() {
             report.far_restored > 0,
             "{point:?}: pages were far at the crash and must be restored"
         );
+    }
+}
+
+/// The crash matrix's log teeth keep biting under tiering: arming the
+/// tier also arms the WAL, and that must not clear a seeded log
+/// mutation, so recovery fails closed on the mutated log.
+#[test]
+fn a_wal_mutation_under_tiering_makes_recovery_fail_closed() {
+    for m in [WalMutation::DropIntent, WalMutation::CorruptPreimage] {
+        let mut w = suite::by_name(SEED_WORKLOAD).unwrap();
+        let cfg = RunConfig::new(CollectorKind::Svagc)
+            .with_verify_phases(true)
+            .with_tiering(0.3)
+            .with_crash_plans(vec![CrashPlan::first(CrashPoint::AfterBatchApply)])
+            .with_wal_mutation(Some(m));
+        let rep = match run_with_crash(w.as_mut(), &cfg, true)
+            .unwrap_or_else(|f| panic!("{m:?}: {}", f.message))
+        {
+            CrashOutcome::Crashed(rep) => *rep,
+            CrashOutcome::Completed(_) => panic!("{m:?}: the crash point never fired"),
+        };
+        let outcome = rep.recovery.expect("recovery was requested").outcome;
+        assert!(outcome.is_err(), "{m:?}: recovery accepted a mutated log: {outcome:?}");
     }
 }
 
