@@ -13,7 +13,7 @@ use svagc_bench::report::{HostInfo, Report};
 use svagc_bench::rusage::Rusage;
 use svagc_core::protocol::{self, ModelConfig};
 use svagc_core::{
-    CycleClass, DegradePolicy, DegradedMode, RetryPolicy, SchedulerKind, TierPolicy,
+    CycleClass, DegradePolicy, DegradedMode, SchedulerKind, TierPolicy,
 };
 use svagc_kernel::{CrashPlan, DeviceFaultConfig, FaultConfig, FlushMode, WalMutation};
 use svagc_metrics::MachineConfig;
@@ -252,11 +252,11 @@ fn run_config(fs: &Parsed) -> Result<RunConfig, String> {
     let mut cfg = RunConfig::new(collector(fs.text("--collector"))?);
     cfg.machine = machine(fs.text("--machine"))?;
     cfg.heap_factor = fs.get("--heap-factor").unwrap_or(cfg.heap_factor);
-    cfg.gc_threads = fs.get("--gc-threads").unwrap_or(cfg.gc_threads);
+    cfg.gc.gc_threads = fs.get("--gc-threads").unwrap_or(cfg.gc.gc_threads);
     cfg.steps = fs.get("--steps").or(cfg.steps);
     cfg.threshold_pages = fs.get("--threshold").or(cfg.threshold_pages);
     cfg.instrumented = fs.on("--instrumented");
-    cfg.verify_phases = fs.on("--verify-phases");
+    cfg.gc.verify_phases = fs.on("--verify-phases");
     cfg.concurrent = fs.on("--concurrent");
     let seed = fs.get("--fault-seed").unwrap_or(FAULT_SEED);
     // A zero rate injects nothing, and such a run prints no resilience
@@ -268,12 +268,14 @@ fn run_config(fs: &Parsed) -> Result<RunConfig, String> {
             FaultConfig::uniform(p, seed)
         }
     });
+    let fault_flags = ["--fault-seed", "--fault-permanent"];
+    requires(fs, &fault_flags, cfg.faults.is_some(), "a non-zero --fault-rate")?;
     if let Some(budget) = fs.get("--swap-fallback-budget") {
-        cfg.retry = Some(RetryPolicy::default().with_fallback_budget(Some(budget)));
+        cfg.gc.retry = cfg.gc.retry.with_fallback_budget(Some(budget));
     }
-    cfg.deadline_cycles = fs.get("--gc-deadline-cycles").or(cfg.deadline_cycles);
+    cfg.gc.deadline_cycles = fs.get("--gc-deadline-cycles").or(cfg.gc.deadline_cycles);
     if let Some(p) = fs.text("--degrade-policy") {
-        cfg.degrade = DegradePolicy::parse(p)
+        cfg.gc.degrade = DegradePolicy::parse(p)
             .ok_or_else(|| format!("unknown degrade policy {p:?} (off | standard | standard:N)"))?;
     }
     cfg.trace = fs.on("--trace") || fs.on("--trace-summary");
@@ -287,17 +289,32 @@ fn run_config(fs: &Parsed) -> Result<RunConfig, String> {
             format!("unknown WAL mutation {m:?} (skip-commit | drop-intent | corrupt-preimage)")
         })?);
     }
-    cfg.scheduler = fs.text("--scheduler").map(scheduler).transpose()?.unwrap_or(cfg.scheduler);
-    cfg.core_base = fs.get("--core-base").unwrap_or(cfg.core_base);
+    cfg.gc.scheduler =
+        fs.text("--scheduler").map(scheduler).transpose()?.unwrap_or(cfg.gc.scheduler);
+    cfg.gc.core_base = fs.get("--core-base").unwrap_or(cfg.gc.core_base);
     cfg.tier = fs.get("--dram-fraction").map(TierPolicy::new);
-    cfg.device_faults = Some(DeviceFaultConfig {
-        offline_after: fs.get("--device-offline-after"),
-        ..DeviceFaultConfig::uniform(
-            fs.get("--device-fault-rate").unwrap_or(0.0),
-            fs.get("--device-fault-seed").unwrap_or(DEVICE_FAULT_SEED),
-        )
-    });
+    const DEVICE_FLAGS: &[&str] =
+        &["--device-fault-rate", "--device-fault-seed", "--device-offline-after"];
+    requires(fs, DEVICE_FLAGS, cfg.tier.is_some(), "--dram-fraction")?;
+    if DEVICE_FLAGS.iter().any(|f| fs.on(f)) {
+        cfg.device_faults = Some(DeviceFaultConfig {
+            offline_after: fs.get("--device-offline-after"),
+            ..DeviceFaultConfig::uniform(
+                fs.get("--device-fault-rate").unwrap_or(0.0),
+                fs.get("--device-fault-seed").unwrap_or(DEVICE_FAULT_SEED),
+            )
+        });
+    }
     Ok(cfg)
+}
+
+/// Refuse any of `flags` given without what they act on: `met` says
+/// whether `what` was asked for too.
+fn requires(fs: &Parsed, flags: &[&str], met: bool, what: &str) -> Result<(), String> {
+    match flags.iter().find(|f| fs.on(f)) {
+        Some(flag) if !met => Err(format!("{flag} does nothing without {what}")),
+        _ => Ok(()),
+    }
 }
 
 /// The fleet `fleet` asks for.
@@ -427,7 +444,7 @@ fn main() {
             let host_rusage = Rusage::since(r0);
             println!("workload     : {}", r.workload);
             println!("collector    : {}", r.collector);
-            if cfg.scheduler == SchedulerKind::Packets {
+            if cfg.gc.scheduler == SchedulerKind::Packets {
                 println!(
                     "scheduler    : packets ({} packets | {} steals | {} steal cycles)",
                     r.gc.total_sched_packets(),
@@ -476,7 +493,8 @@ fn main() {
                     r.gc.total_batch_splits()
                 );
             }
-            if cfg.deadline_cycles.is_some() || cfg.degrade.enabled || r.gc.total_aborts() > 0 {
+            let gc = &cfg.gc;
+            if gc.deadline_cycles.is_some() || gc.degrade.enabled || r.gc.total_aborts() > 0 {
                 println!(
                     "transactions : {} aborts | {} watchdog expiries | {} pages rolled back | peak mode {}",
                     r.gc.total_aborts(),
@@ -556,9 +574,9 @@ fn main() {
             let n = or_usage(fs.get("--jvms").ok_or("--jvms is required".into()));
             let mut base = RunConfig::new(or_usage(collector(fs.text("--collector"))));
             base.machine = or_usage(machine(fs.text("--machine")));
-            base.gc_threads = fs.get("--gc-threads").unwrap_or(4);
-            base.scheduler = or_usage(fs.text("--scheduler").map(scheduler).transpose())
-                .unwrap_or(base.scheduler);
+            base.gc.gc_threads = fs.get("--gc-threads").unwrap_or(4);
+            base.gc.scheduler = or_usage(fs.text("--scheduler").map(scheduler).transpose())
+                .unwrap_or(base.gc.scheduler);
             let res = run_multi(
                 n,
                 |i| Box::new(LruCache::new(192, 2 << 20, 8, 100 + i as u64)),
@@ -569,7 +587,7 @@ fn main() {
                 std::process::exit(1);
             });
             println!("JVMs         : {n} x LRUCache on {}", base.machine.name);
-            println!("collector    : {}", base.collector.label());
+            println!("collector    : {}", base.collector().label());
             println!(
                 "per-JVM mean : GC total {:.3} ms | GC max {:.3} ms | app {:.2} ms | total {:.2} ms",
                 res.avg_gc_total_ms(),
@@ -581,7 +599,7 @@ fn main() {
         Some("fleet") => {
             let fs = or_usage(args::parse(FLEET_FLAGS, &args[1..], false));
             let spec = or_usage(fleet_spec(&fs));
-            let mut base = RunConfig::new(noisy::default_collector());
+            let mut base = RunConfig::new(CollectorKind::Svagc);
             base.machine = or_usage(machine(fs.text("--machine")));
             let (quota, headroom) =
                 or_usage(noisy::quota_frames(&spec, &base).map_err(|e| e.to_string()));

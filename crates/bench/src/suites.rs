@@ -265,7 +265,7 @@ pub fn multijvm_rows(kind: CollectorKind, counts: &[usize]) -> Vec<MultiJvmRow> 
         .map(|&n| {
             let mut base = RunConfig::new(kind);
             base.machine = MachineConfig::xeon_gold_6130();
-            base.gc_threads = 4; // the paper pins GCThreadsCount=4
+            base.gc.gc_threads = 4; // the paper pins GCThreadsCount=4
             base.heap_factor = 1.2;
             let res = run_multi(
                 n,
@@ -493,10 +493,10 @@ impl_to_json!(NoisyNeighborRow {
 /// victim's injected fault rate. Each rate is an independent experiment
 /// (its own pool, fleets, and twin), so the sweep is host-parallel.
 pub fn noisy_neighbor_rows(rates_pct: &[u32]) -> Vec<NoisyNeighborRow> {
-    use svagc_workloads::noisy::{default_collector, run_noisy_neighbor, NoisySpec};
+    use svagc_workloads::noisy::{run_noisy_neighbor, NoisySpec};
     par_map(rates_pct.to_vec(), |rate_pct| {
         let spec = NoisySpec::standard(rate_pct as f64 / 100.0, 42);
-        let base = RunConfig::new(default_collector());
+        let base = RunConfig::new(CollectorKind::Svagc);
         let out = run_noisy_neighbor(&spec, &base)
             .unwrap_or_else(|e| panic!("noisy-neighbor oracle failure at {rate_pct}%: {e}"));
         let healthy = out.faulty.completed();
@@ -670,7 +670,8 @@ pub fn tiering_resilience_rows() -> Vec<TieringResilienceRow> {
     }
     par_map(plan, |(kind, frac, rate)| {
         let mut w = suite::by_name("LRUCache").expect("LRUCache is a suite workload");
-        let mut cfg = RunConfig::new(kind).with_verify_phases(true);
+        let mut cfg = RunConfig::new(kind);
+        cfg.gc.verify_phases = true;
         if frac < 1.0 {
             // Raise the per-pass demotion cap so the DRAM fraction is
             // actually reached.

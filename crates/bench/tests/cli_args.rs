@@ -73,6 +73,33 @@ fn cases() -> Vec<(&'static str, &'static [&'static str], &'static str)> {
             &["run", "--workload", "Bisort", "--crash-plan", ","],
             "bad crash plan",
         ),
+        // svagc_cli: a flag that acts only through another flag is
+        // refused without it rather than silently ignored.
+        (
+            cli,
+            &["run", "--workload", "Bisort", "--fault-seed", "9"],
+            "--fault-seed does nothing without a non-zero --fault-rate",
+        ),
+        (
+            cli,
+            &["run", "--workload", "Bisort", "--fault-rate", "0", "--fault-permanent"],
+            "--fault-permanent does nothing without a non-zero --fault-rate",
+        ),
+        (
+            cli,
+            &["run", "--workload", "Bisort", "--device-fault-rate", "0.1"],
+            "--device-fault-rate does nothing without --dram-fraction",
+        ),
+        (
+            cli,
+            &["recover", "--workload", "Bisort", "--device-fault-seed", "4"],
+            "--device-fault-seed does nothing without --dram-fraction",
+        ),
+        (
+            cli,
+            &["run", "--workload", "Bisort", "--device-offline-after", "3"],
+            "--device-offline-after does nothing without --dram-fraction",
+        ),
         (cli, &["run", "--workload", "Nope"], "unknown workload"),
         (cli, &["run", "--steps", "2"], "--workload is required"),
         (cli, &["multi", "--jvms", "0"], "--jvms \"0\""),

@@ -4,7 +4,7 @@
 use crate::env::JvmEnv;
 use crate::workload::Workload;
 use svagc_core::{
-    recover, Collector, ConcurrentCollector, DegradePolicy, GcConfig, GcError, GcLog,
+    recover, Collector, ConcurrentCollector, GcConfig, GcError, GcLog,
     Lisp2Collector, PressureEscalator, PressureStats, RecoveryError, RecoveryReport,
     RetryPolicy, SchedulerKind, TierController, TierCtlStats, TierPolicy,
 };
@@ -32,18 +32,16 @@ pub enum CollectorKind {
 }
 
 impl CollectorKind {
-    /// Instantiate the collector for a run with `cfg`'s run-level knobs:
-    /// worker count, post-phase verification, watchdog deadline,
-    /// degraded-mode policy, SwapVA retry-policy override, scheduling
-    /// policy and core-affinity base. Every kind is a LISP2 configuration
-    /// (the baselines' come from [`GcConfig::parallelgc`] and
-    /// [`GcConfig::shenandoah`]), so every knob applies to every kind. A
-    /// concurrent kind gets SATB concurrent marking: [`ConcurrentCollector`]
-    /// around the same configuration. Shenandoah always marks
-    /// concurrently, ParallelGC never does, and every other kind follows
+    /// Instantiate this kind's collector over `cfg.gc`, the LISP2
+    /// configuration [`RunConfig::new`] took from the kind's preset (the
+    /// baselines' come from [`GcConfig::parallelgc`] and
+    /// [`GcConfig::shenandoah`]) and the caller then tuned. A concurrent
+    /// kind gets SATB concurrent marking: [`ConcurrentCollector`] around
+    /// the same configuration. Shenandoah always marks concurrently,
+    /// ParallelGC never does, and every other kind follows
     /// `cfg.concurrent`.
     pub fn build(&self, cfg: &RunConfig) -> Box<dyn Collector> {
-        let gc = Lisp2Collector::new(self.lisp2_config(cfg));
+        let gc = Lisp2Collector::new(cfg.gc);
         if self.marks_concurrently(cfg) {
             Box::new(ConcurrentCollector::new(gc))
         } else {
@@ -56,27 +54,6 @@ impl CollectorKind {
             CollectorKind::Shenandoah => true,
             CollectorKind::ParallelGc => false,
             _ => run.concurrent,
-        }
-    }
-
-    /// The resolved LISP2 configuration of this kind: its preset, with
-    /// every run-level knob of `run` assigned on top.
-    fn lisp2_config(&self, run: &RunConfig) -> GcConfig {
-        let threads = run.gc_threads;
-        let preset = match self {
-            CollectorKind::Svagc => GcConfig::svagc(threads),
-            CollectorKind::SvagcMemmove => GcConfig::lisp2_memmove(threads),
-            CollectorKind::ParallelGc => GcConfig::parallelgc(threads),
-            CollectorKind::Shenandoah => GcConfig::shenandoah(threads),
-        };
-        GcConfig {
-            verify_phases: run.verify_phases,
-            deadline_cycles: run.deadline_cycles,
-            degrade: run.degrade,
-            scheduler: run.scheduler,
-            core_base: run.core_base,
-            retry: run.retry.unwrap_or(preset.retry),
-            ..preset
         }
     }
 
@@ -109,28 +86,51 @@ impl CollectorKind {
     }
 }
 
-/// Parameters of one benchmark run.
+/// One JVM of a multi-JVM run (Figs. 2 and 14): its id and its share of
+/// the machine. [`crate::multijvm::run_fleet`] builds one per tenant.
+#[derive(Clone)]
+pub struct Tenant {
+    /// The JVM's id: its address-space id, its tenant in the frame pool,
+    /// and the top 16 bits of every WAL epoch its journal assigns, so no
+    /// two tenants' logs can be confused.
+    pub id: u16,
+    /// Cores this JVM's mutators effectively get.
+    pub cores: usize,
+    /// The bandwidth model every JVM of the run shares.
+    pub bandwidth: BandwidthModel,
+    /// The fleet frame pool this JVM draws its frames from (`None` =
+    /// private frames).
+    pub pool: Option<FramePool>,
+    /// Arm the pressure-escalation ladder (implies on-demand heap commit
+    /// so GC can return frames to the pool). Applies only with a pool.
+    pub pressure: bool,
+}
+
+/// Parameters of one benchmark run. Each setting is said once: the
+/// collector's own [`GcConfig`] in [`RunConfig::gc`], a multi-JVM
+/// tenant's identity in [`RunConfig::tenant`], the kernel's fault and
+/// tier configs as the kernel's own types.
 #[derive(Clone)]
 pub struct RunConfig {
     /// The modeled machine.
     pub machine: MachineConfig,
     /// Heap size as a multiple of the workload's minimum (1.2 / 2.0).
     pub heap_factor: f64,
-    /// Collector under test.
-    pub collector: CollectorKind,
-    /// GC worker threads.
-    pub gc_threads: usize,
+    /// Collector under test, fixed by [`RunConfig::new`].
+    collector: CollectorKind,
+    /// The collector's configuration: the kind's preset, which callers
+    /// tune in place (worker count, post-phase verification, watchdog
+    /// deadline, degraded-mode policy, SwapVA retry policy, scheduling
+    /// substrate, core-affinity base).
+    pub gc: GcConfig,
     /// Steps to run (`None` = the workload's default).
     pub steps: Option<usize>,
     /// Cache/DTLB instrumentation (Table III mode; slower).
     pub instrumented: bool,
-    /// Shared bandwidth model (multi-JVM); `None` builds a private one.
-    pub bandwidth: Option<BandwidthModel>,
-    /// Cores effectively available to this JVM's mutators (multi-JVM
-    /// sharing); `None` = the whole machine.
-    pub effective_cores: Option<usize>,
-    /// Address-space id of this JVM.
-    pub asid: u16,
+    /// This JVM's place in a multi-JVM run (`None` = the whole machine,
+    /// a private bandwidth model and private frames, ASID 1 and WAL
+    /// epoch namespace 0).
+    pub tenant: Option<Tenant>,
     /// Override the swap threshold in pages (`None` = paper default 10).
     pub threshold_pages: Option<u64>,
     /// Seeded SwapVA fault injection (`None` = fault-free): the
@@ -139,15 +139,6 @@ pub struct RunConfig {
     /// and exercises fallbacks, fallback budgets and transactional
     /// rollback. Same seed and rates ⇒ the same fault sequence.
     pub faults: Option<FaultConfig>,
-    /// Run the heap verifier after every LISP2 phase.
-    pub verify_phases: bool,
-    /// Per-phase GC watchdog deadline in virtual cycles (`None` = no
-    /// deadline). A phase exceeding the budget aborts the cycle and rolls
-    /// it back through the compaction journal.
-    pub deadline_cycles: Option<u64>,
-    /// Degraded-mode circuit-breaker policy applied after aborted cycles
-    /// (default off — aborts propagate as errors).
-    pub degrade: DegradePolicy,
     /// Record cycle-accurate trace events. Off by default — the disabled
     /// tracer is a branch on a `None`.
     pub trace: bool,
@@ -159,11 +150,6 @@ pub struct RunConfig {
     /// `SVAGC_TLB_ORACLE` environment variable (how CI runs the figure
     /// and chaos suites under the oracle).
     pub tlb_oracle: bool,
-    /// Override the collector's SwapVA retry policy (`None` = the
-    /// collector default). A zero fallback budget makes every permanent
-    /// fault an unrecoverable abort — the profile behind the fault-abort
-    /// exit code.
-    pub retry: Option<RetryPolicy>,
     /// Seeded crash points: the simulated machine dies at the chosen
     /// occurrence, preserving only durable state (vmem, page tables,
     /// write-ahead log). Non-empty plans arm the kernel's write-ahead log
@@ -173,23 +159,6 @@ pub struct RunConfig {
     /// Seeded write-ahead-log mutation (the crash-matrix teeth: a
     /// protocol corruption recovery MUST detect and fail closed on).
     pub wal_mutation: Option<WalMutation>,
-    /// Scheduling substrate for the GC phases: the four-barrier pipeline
-    /// (default) or dependency-ordered work packets with stealing.
-    pub scheduler: SchedulerKind,
-    /// First machine core this JVM's GC workers pin to (multi-JVM runs
-    /// give each collector a disjoint base so pinned workers never share
-    /// a core).
-    pub core_base: usize,
-    /// Fleet frame pool this JVM draws its frames from (`None` = private
-    /// frames, the single-JVM default — behavior unchanged).
-    pub frame_pool: Option<FramePool>,
-    /// Arm the pressure-escalation ladder (implies on-demand heap commit
-    /// so GC can actually return frames to the pool).
-    pub pressure: bool,
-    /// WAL epoch namespace: the top 16 bits of every epoch this JVM's
-    /// journal assigns. Fleet tenants get disjoint namespaces so their
-    /// logs can never be confused; 0 (default) leaves epochs unchanged.
-    pub wal_namespace: u16,
     /// Run with SATB concurrent marking (`--concurrent`): marking
     /// overlaps mutator execution and only initial/final mark plus
     /// compaction are charged to the pause. The collector is wrapped in
@@ -233,37 +202,38 @@ impl RunConfig {
         (min_effective as f64 * self.heap_factor) as u64
     }
 
-    /// Defaults: Xeon 6130, 1.2× heap, SVAGC, 8 GC threads.
+    /// Defaults: Xeon 6130, 1.2× heap, `collector`'s preset with 8 GC
+    /// threads.
     pub fn new(collector: CollectorKind) -> RunConfig {
+        let gc_threads = 8;
         RunConfig {
             machine: MachineConfig::xeon_gold_6130(),
             heap_factor: 1.2,
             collector,
-            gc_threads: 8,
+            gc: match collector {
+                CollectorKind::Svagc => GcConfig::svagc(gc_threads),
+                CollectorKind::SvagcMemmove => GcConfig::lisp2_memmove(gc_threads),
+                CollectorKind::ParallelGc => GcConfig::parallelgc(gc_threads),
+                CollectorKind::Shenandoah => GcConfig::shenandoah(gc_threads),
+            },
             steps: None,
             instrumented: false,
-            bandwidth: None,
-            effective_cores: None,
-            asid: 1,
+            tenant: None,
             threshold_pages: None,
             faults: None,
-            verify_phases: false,
-            deadline_cycles: None,
-            degrade: DegradePolicy::off(),
             trace: false,
             tlb_oracle: false,
-            retry: None,
             crash_plans: Vec::new(),
             wal_mutation: None,
-            scheduler: SchedulerKind::Barrier,
-            core_base: 0,
-            frame_pool: None,
-            pressure: false,
-            wal_namespace: 0,
             concurrent: false,
             tier: None,
             device_faults: None,
         }
+    }
+
+    /// The collector under test.
+    pub fn collector(&self) -> CollectorKind {
+        self.collector
     }
 
     /// Arm cold-object tiering at the given resident DRAM fraction.
@@ -284,21 +254,9 @@ impl RunConfig {
         self
     }
 
-    /// Arm the pressure-escalation ladder.
-    pub fn with_pressure(mut self, on: bool) -> RunConfig {
-        self.pressure = on;
-        self
-    }
-
     /// Select the GC scheduling substrate.
     pub fn with_scheduler(mut self, kind: SchedulerKind) -> RunConfig {
-        self.scheduler = kind;
-        self
-    }
-
-    /// Set the core-affinity base of this JVM's GC workers.
-    pub fn with_core_base(mut self, base: usize) -> RunConfig {
-        self.core_base = base;
+        self.gc.scheduler = kind;
         self
     }
 
@@ -308,27 +266,9 @@ impl RunConfig {
         self
     }
 
-    /// Enable post-phase heap verification.
-    pub fn with_verify_phases(mut self, on: bool) -> RunConfig {
-        self.verify_phases = on;
-        self
-    }
-
     /// Enable trace-event recording.
     pub fn with_trace(mut self, on: bool) -> RunConfig {
         self.trace = on;
-        self
-    }
-
-    /// Set the per-phase watchdog deadline (virtual cycles).
-    pub fn with_deadline(mut self, cycles: Option<u64>) -> RunConfig {
-        self.deadline_cycles = cycles;
-        self
-    }
-
-    /// Set the degraded-mode policy.
-    pub fn with_degrade(mut self, policy: DegradePolicy) -> RunConfig {
-        self.degrade = policy;
         self
     }
 
@@ -746,8 +686,23 @@ fn run_inner(
     let min_heap = workload.min_heap_bytes();
     let heap_bytes = cfg.heap_bytes(min_heap);
     let mut kernel = Kernel::with_bytes(cfg.machine.clone(), heap_bytes + KERNEL_SLACK_BYTES);
-    if let Some(bw) = &cfg.bandwidth {
-        kernel.share_bandwidth(bw);
+    let tenant = cfg.tenant.as_ref();
+    // A run without a tenant is ASID 1 with WAL epoch namespace 0. A
+    // tenant's one id is its ASID, its namespace and its pool tenant.
+    let asid = tenant.map_or(1, |t| t.id);
+    let mut pressure = false;
+    if let Some(t) = tenant {
+        kernel.share_bandwidth(&t.bandwidth);
+        kernel.set_wal_namespace(t.id);
+        if let Some(pool) = &t.pool {
+            // Fleet drivers register every tenant up front (the pool's
+            // namespace bases follow registration order).
+            let lease = pool
+                .lease(TenantId(t.id))
+                .map_err(|e| other_failure(e.to_string()))?;
+            kernel.vmem.frames.attach_lease(lease);
+            pressure = t.pressure;
+        }
     }
     kernel.set_instrumented(cfg.instrumented);
     kernel.set_tracing(cfg.trace);
@@ -756,18 +711,9 @@ fn run_inner(
     let oracle_on = cfg.tlb_oracle || std::env::var_os("SVAGC_TLB_ORACLE").is_some();
     kernel.set_tlb_oracle(oracle_on);
     kernel.set_wal_enabled(!cfg.crash_plans.is_empty() || cfg.tier.is_some());
-    kernel.set_wal_namespace(cfg.wal_namespace);
     kernel.set_wal_mutation(cfg.wal_mutation);
     if !cfg.crash_plans.is_empty() {
         kernel.set_crash_plans(cfg.crash_plans.clone());
-    }
-    if let Some(pool) = &cfg.frame_pool {
-        // Fleet drivers register every tenant up front (the pool's
-        // namespace bases follow registration order).
-        let lease = pool
-            .lease(TenantId(cfg.asid))
-            .map_err(|e| other_failure(e.to_string()))?;
-        kernel.vmem.frames.attach_lease(lease);
     }
 
     let mut heap_cfg =
@@ -775,13 +721,13 @@ fn run_inner(
     if let Some(t) = cfg.threshold_pages {
         heap_cfg = heap_cfg.with_threshold(t);
     }
-    if cfg.pressure {
+    if pressure {
         // Pressure handling needs on-demand commit: an eagerly mapped
         // heap charges its whole capacity up front and a GC could never
         // return frames to the pool.
         heap_cfg = heap_cfg.with_commit_on_demand(true);
     }
-    let heap = Heap::new(&mut kernel, Asid(cfg.asid), heap_cfg).map_err(|e| {
+    let heap = Heap::new(&mut kernel, Asid(asid), heap_cfg).map_err(|e| {
         let g: GcError = e.into();
         Box::new(RunFailure { kind: classify(&g), message: g.to_string() })
     })?;
@@ -797,7 +743,7 @@ fn run_inner(
     }
 
     let mut env = JvmEnv::new(&mut kernel, heap, collector);
-    if cfg.pressure {
+    if pressure {
         env.pressure = PressureEscalator::new(true);
     }
     if let Some(policy) = cfg.tier {
@@ -920,7 +866,7 @@ fn run_inner(
         )));
     }
 
-    let cores = cfg.effective_cores.unwrap_or(cfg.machine.cores).max(1);
+    let cores = tenant.map_or(cfg.machine.cores, |t| t.cores).max(1);
     let parallelism = (workload.threads() as usize).min(cores).max(1) as u64;
     // Mutators absorb IPI interference from this JVM's own shootdowns too.
     let app_wall = app_cycles / parallelism + gc_log.total_interference() / parallelism;
@@ -963,48 +909,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn every_kind_carries_every_run_level_knob() {
-        let retry = RetryPolicy {
-            max_retries: 2,
-            fallback_budget: Some(0),
-            ..RetryPolicy::default()
-        };
-        for kind in [
-            CollectorKind::Svagc,
-            CollectorKind::SvagcMemmove,
-            CollectorKind::ParallelGc,
-            CollectorKind::Shenandoah,
-        ] {
-            let mut run = RunConfig::new(kind)
-                .with_verify_phases(true)
-                .with_deadline(Some(1 << 30))
-                .with_degrade(DegradePolicy::standard())
-                .with_scheduler(SchedulerKind::Packets)
-                .with_core_base(5);
-            run.gc_threads = 3;
-            run.retry = Some(retry);
-            let cfg = kind.lisp2_config(&run);
-            let label = kind.label();
-            assert_eq!(cfg.gc_threads, 3, "{label}");
-            assert!(cfg.verify_phases, "{label}");
-            assert_eq!(cfg.deadline_cycles, Some(1 << 30), "{label}");
-            assert_eq!(cfg.degrade, DegradePolicy::standard(), "{label}");
-            assert_eq!(cfg.scheduler, SchedulerKind::Packets, "{label}");
-            assert_eq!(cfg.core_base, 5, "{label}");
-            assert_eq!(cfg.retry, retry, "{label}");
-            // Without an override the preset's retry policy stays.
-            run.retry = None;
-            assert_eq!(kind.lisp2_config(&run).retry, RetryPolicy::default(), "{label}");
-        }
-    }
-
-    #[test]
     fn unregistered_pooled_tenant_fails_with_the_pool_error() {
         let mut w = crate::suite::by_name("Bisort").unwrap();
         let mut cfg = RunConfig::new(CollectorKind::Svagc);
-        cfg.frame_pool = Some(FramePool::new(1 << 16));
+        cfg.tenant = Some(Tenant {
+            id: 3,
+            cores: cfg.machine.cores,
+            bandwidth: BandwidthModel::new(),
+            pool: Some(FramePool::new(1 << 16)),
+            pressure: false,
+        });
         let err = run_classified(w.as_mut(), &cfg).unwrap_err();
         assert_eq!(err.kind, FailureKind::Other);
-        assert_eq!(err.message, VmError::NoSuchTenant(cfg.asid).to_string());
+        assert_eq!(err.message, VmError::NoSuchTenant(3).to_string());
     }
 }

@@ -26,7 +26,7 @@ pub mod suite;
 pub mod workload;
 
 pub use churn::{ChurnSpec, ChurnWorkload, SizeDist};
-pub use driver::{run, CollectorKind, FailureKind, RunConfig, RunResult};
+pub use driver::{run, CollectorKind, FailureKind, RunConfig, RunResult, Tenant};
 pub use env::JvmEnv;
 pub use multijvm::{
     isolation_oracle, run_fleet, run_multi, FleetConfig, FleetResult, MultiJvmResult,

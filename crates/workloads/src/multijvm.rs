@@ -31,7 +31,7 @@
 //! run to completion — [`run_fleet`] returns per-tenant
 //! [`TenantOutcome`]s, never one fleet-wide error.
 
-use crate::driver::{run_classified, FailureKind, RunConfig, RunResult};
+use crate::driver::{run_classified, FailureKind, RunConfig, RunResult, Tenant};
 use crate::workload::Workload;
 use svagc_metrics::{par_map, BandwidthModel, Cycles};
 use svagc_vmem::{FramePool, TenantId};
@@ -331,23 +331,21 @@ where
 
     let mut outcomes: Vec<TenantOutcome> = par_map((0..n).collect::<Vec<_>>(), |i| {
         let mut cfg = base.clone();
-        cfg.bandwidth = Some(bandwidth.clone());
-        cfg.effective_cores = Some(core_share);
-        cfg.asid = (i + 1) as u16;
+        let id = (i + 1) as u16;
+        cfg.tenant = Some(Tenant {
+            id,
+            cores: core_share,
+            bandwidth: bandwidth.clone(),
+            pool: pool.clone(),
+            pressure: fleet.pressure,
+        });
         // Disjoint affinity bases: instance i's workers pin starting at
         // its own core share, so no two collectors contend for a core
         // while enough cores exist (the scheduler-level regression test is
         // `concurrent_collectors_pin_disjoint_cores`).
-        cfg.core_base = i * core_share;
-        if let Some(pool) = &pool {
-            cfg.frame_pool = Some(pool.clone());
-            cfg.pressure = fleet.pressure;
-            // Disjoint WAL epoch namespaces: tenant logs can never be
-            // confused during fleet-level forensics.
-            cfg.wal_namespace = cfg.asid;
-        }
+        cfg.gc.core_base = i * core_share;
         let cfg = tweak(i, cfg);
-        let tenant = TenantId(cfg.asid);
+        let tenant = TenantId(id);
         let mut attempt = 0;
         loop {
             attempt += 1;

@@ -21,10 +21,9 @@
 //!   survivors' footprints exactly, with a clean ownership audit.
 
 use crate::churn::{ChurnSpec, ChurnWorkload, SizeDist};
-use crate::driver::{CollectorKind, RunConfig, KERNEL_SLACK_BYTES};
+use crate::driver::{RunConfig, KERNEL_SLACK_BYTES};
 use crate::multijvm::{isolation_oracle, run_fleet, FleetConfig, FleetResult};
 use crate::workload::Workload;
-use svagc_core::RetryPolicy;
 use svagc_kernel::FaultConfig;
 use svagc_vmem::PAGE_SIZE;
 
@@ -164,7 +163,9 @@ pub fn quota_frames(spec: &NoisySpec, base: &RunConfig) -> Result<(u32, u32), Qu
 
 /// Run the experiment: the faulty fleet, its fault-free twin, and both
 /// oracles. An oracle violation is an `Err` — the harness treats it as a
-/// broken blast radius, not a tenant failure.
+/// broken blast radius, not a tenant failure. Every caller runs it under
+/// SVAGC: the victims' faults are SwapVA faults, which the baselines
+/// never raise.
 pub fn run_noisy_neighbor(spec: &NoisySpec, base: &RunConfig) -> Result<NoisyOutcome, String> {
     let (quota, headroom) = quota_frames(spec, base).map_err(|e| e.to_string())?;
     // Cannot overflow: `quota_frames` bounds the quota by the pool's.
@@ -187,8 +188,7 @@ pub fn run_noisy_neighbor(spec: &NoisySpec, base: &RunConfig) -> Result<NoisyOut
                     ));
                     // Zero fallback budget: a permanent fault aborts the
                     // cycle instead of quietly degrading to memmove.
-                    cfg.retry =
-                        Some(RetryPolicy::default().with_fallback_budget(Some(0)));
+                    cfg.gc.retry = cfg.gc.retry.with_fallback_budget(Some(0));
                 }
                 cfg
             },
@@ -215,23 +215,17 @@ pub fn run_noisy_neighbor(spec: &NoisySpec, base: &RunConfig) -> Result<NoisyOut
     })
 }
 
-/// Pick [`CollectorKind::Svagc`] for a noisy-neighbor run (the chaos
-/// experiment exercises the paper's collector; baselines have no SwapVA
-/// fault surface to inject into).
-pub fn default_collector() -> CollectorKind {
-    CollectorKind::Svagc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::CollectorKind;
     use crate::multijvm::TenantOutcome;
     use crate::FailureKind;
 
     #[test]
     fn noisy_neighbor_quarantines_the_victim_and_holds_the_blast_radius() {
         let spec = NoisySpec::standard(0.10, 42);
-        let base = RunConfig::new(default_collector());
+        let base = RunConfig::new(CollectorKind::Svagc);
         let out = run_noisy_neighbor(&spec, &base).expect("oracle failure");
         assert_eq!(out.clean.survivors(), spec.tenants, "fault-free twin is clean");
         assert_eq!(out.faulty.survivors(), spec.tenants - 1);
@@ -256,7 +250,7 @@ mod tests {
             victims: vec![],
             ..NoisySpec::standard(0.0, 7)
         };
-        let base = RunConfig::new(default_collector());
+        let base = RunConfig::new(CollectorKind::Svagc);
         let out = run_noisy_neighbor(&spec, &base).expect("oracle failure");
         assert_eq!(out.faulty.survivors(), spec.tenants);
         let remedies: u64 = out

@@ -20,10 +20,8 @@ fn instrumented_stream_over_a_lost_far_page_fails_typed() {
     )));
     kernel.set_far_tier(Some(FarTier::new(device, RetryPolicy::default())));
     let heap = Heap::new(&mut kernel, Asid(1), HeapConfig::new(1 << 20)).unwrap();
-    let run = RunConfig {
-        gc_threads: 1,
-        ..RunConfig::new(CollectorKind::Svagc)
-    };
+    let mut run = RunConfig::new(CollectorKind::Svagc);
+    run.gc.gc_threads = 1;
     let mut env = JvmEnv::new(&mut kernel, heap, CollectorKind::Svagc.build(&run));
     let shape = ObjShape::data(1024);
     let obj = env.alloc(shape).unwrap();

@@ -7,7 +7,7 @@ use svagc_workloads::suite;
 
 fn cfg(kind: CollectorKind) -> RunConfig {
     let mut c = RunConfig::new(kind);
-    c.gc_threads = 8;
+    c.gc.gc_threads = 8;
     c
 }
 
@@ -122,7 +122,8 @@ fn baselines_honour_the_run_level_deadline() {
     // GC too.
     for kind in [CollectorKind::ParallelGc, CollectorKind::Shenandoah] {
         let mut w = suite::by_name("Compress").unwrap();
-        let c = cfg(kind).with_deadline(Some(1));
+        let mut c = cfg(kind);
+        c.gc.deadline_cycles = Some(1);
         let err = run_classified(w.as_mut(), &c).expect_err("deadline must expire");
         assert_eq!(err.kind, FailureKind::Watchdog, "{}: {}", kind.label(), err.message);
     }

@@ -13,7 +13,7 @@ use svagc_workloads::suite;
 
 fn packets_cfg() -> RunConfig {
     let mut c = RunConfig::new(CollectorKind::Svagc).with_scheduler(SchedulerKind::Packets);
-    c.gc_threads = 8;
+    c.gc.gc_threads = 8;
     c
 }
 

@@ -25,7 +25,7 @@ fn sweep(kind: CollectorKind) {
     for n in [1usize, 4, 16, 32] {
         let mut base = RunConfig::new(kind);
         base.machine = MachineConfig::xeon_gold_6130();
-        base.gc_threads = 4;
+        base.gc.gc_threads = 4;
         let res = run_multi(
             n,
             |i| Box::new(LruCache::new(192, 2 << 20, 8, 500 + i as u64)),

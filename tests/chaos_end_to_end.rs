@@ -11,10 +11,8 @@ const CHAOS_SEED: u64 = 0xFA017;
 
 fn chaos_run(name: &str, fault_rate: f64) -> RunResult {
     let mut w = suite::by_name(name).unwrap();
-    let mut cfg = RunConfig::new(CollectorKind::Svagc)
-        .with_faults(fault_rate, CHAOS_SEED)
-        .with_verify_phases(true);
-    cfg.gc_threads = 8;
+    let mut cfg = RunConfig::new(CollectorKind::Svagc).with_faults(fault_rate, CHAOS_SEED);
+    cfg.gc.verify_phases = true;
     run(w.as_mut(), &cfg).unwrap_or_else(|e| panic!("{name} at p={fault_rate}: {e}"))
 }
 
@@ -77,10 +75,8 @@ fn aggregated_collector_splits_batches_under_faults() {
     // Sigverify's 1 MB objects would flush one by one.
     let run_kind = |fault_rate: f64| {
         let mut w = suite::by_name("SOR.large").unwrap();
-        let mut cfg = RunConfig::new(CollectorKind::Svagc)
-            .with_faults(fault_rate, CHAOS_SEED)
-            .with_verify_phases(true);
-        cfg.gc_threads = 8;
+        let mut cfg = RunConfig::new(CollectorKind::Svagc).with_faults(fault_rate, CHAOS_SEED);
+        cfg.gc.verify_phases = true;
         run(w.as_mut(), &cfg).unwrap()
     };
     let clean = run_kind(0.0);
@@ -126,16 +122,15 @@ fn heavy_fault_rates_stay_bit_identical() {
 fn permanent_only_faults_abort_rollback_and_degrade() {
     let run_kind = |fault_rate: f64| {
         let mut w = suite::by_name("LRUCache").unwrap();
-        let mut cfg = RunConfig::new(CollectorKind::Svagc)
-            .with_verify_phases(true)
-            .with_degrade(svagc::gc::DegradePolicy::standard());
-        cfg.retry = Some(svagc::gc::RetryPolicy {
+        let mut cfg = RunConfig::new(CollectorKind::Svagc);
+        cfg.gc.verify_phases = true;
+        cfg.gc.degrade = svagc::gc::DegradePolicy::standard();
+        cfg.gc.retry = svagc::gc::RetryPolicy {
             max_retries: 2,
             fallback_budget: Some(0),
             ..svagc::gc::RetryPolicy::default()
-        });
+        };
         cfg.faults = Some(FaultConfig::permanent_only(fault_rate, CHAOS_SEED));
-        cfg.gc_threads = 8;
         run(w.as_mut(), &cfg).unwrap_or_else(|e| panic!("p={fault_rate}: {e}"))
     };
     let clean = run_kind(0.0);
@@ -175,11 +170,11 @@ fn permanent_only_faults_abort_rollback_and_degrade() {
 fn forced_watchdog_expiry_propagates_and_generous_budget_is_invisible() {
     let run_kind = |deadline: Option<u64>| {
         let mut w = suite::by_name("Sigverify").unwrap();
-        let mut cfg = RunConfig::new(CollectorKind::Svagc)
-            .with_verify_phases(true)
-            .with_deadline(deadline)
-            .with_degrade(svagc::gc::DegradePolicy::standard());
-        cfg.gc_threads = 4;
+        let mut cfg = RunConfig::new(CollectorKind::Svagc);
+        cfg.gc.verify_phases = true;
+        cfg.gc.deadline_cycles = deadline;
+        cfg.gc.degrade = svagc::gc::DegradePolicy::standard();
+        cfg.gc.gc_threads = 4;
         run(w.as_mut(), &cfg)
     };
     let reference = run_kind(None).expect("no deadline");
@@ -206,9 +201,8 @@ fn chaos_under_tlb_oracle_is_stale_free_and_invisible() {
     let mut w = suite::by_name("LRUCache").unwrap();
     let mut cfg = RunConfig::new(CollectorKind::Svagc)
         .with_faults(0.10, CHAOS_SEED)
-        .with_verify_phases(true)
         .with_tlb_oracle(true);
-    cfg.gc_threads = 8;
+    cfg.gc.verify_phases = true;
     // The driver fails closed on any stale hit or audit violation, so
     // unwrapping IS the oracle assertion.
     let watched = run(w.as_mut(), &cfg).expect("oracle must stay silent under chaos");

@@ -8,9 +8,9 @@
 use svagc::gc::{Collector, ConcurrentCollector, GcConfig, Lisp2Collector, SchedulerKind};
 use svagc::heap::{Heap, HeapConfig, HeapVerifier, ObjShape, RootSet};
 use svagc::kernel::{CoreId, FaultConfig, FaultPlan, Kernel};
-use svagc::metrics::MachineConfig;
-use svagc::vmem::Asid;
-use svagc::workloads::driver::{run, CollectorKind, RunConfig, RunResult};
+use svagc::metrics::{BandwidthModel, MachineConfig};
+use svagc::vmem::{Asid, FramePool, TenantId};
+use svagc::workloads::driver::{run, CollectorKind, RunConfig, RunResult, Tenant};
 use svagc::workloads::suite;
 
 const CORE: CoreId = CoreId(0);
@@ -69,9 +69,9 @@ fn concurrent_survives_fault_injection_bit_identical() {
     let reference = run_workload("LRUCache", steps, |c| c);
     for rate in [0.01, 0.10] {
         let faulty = run_workload("LRUCache", steps, |c| {
-            c.with_concurrent(true)
-                .with_faults(rate, 0xFA017)
-                .with_verify_phases(true)
+            let mut c = c.with_concurrent(true).with_faults(rate, 0xFA017);
+            c.gc.verify_phases = true;
+            c
         });
         assert!(faulty.verify_ok);
         assert!(
@@ -88,14 +88,29 @@ fn concurrent_survives_fault_injection_bit_identical() {
     }
 }
 
+/// A lone pooled tenant with the pressure ladder armed (the ladder needs
+/// a pool) and a quota far above what the run commits.
+fn pressured(mut c: RunConfig) -> RunConfig {
+    let pool = FramePool::new(1 << 20);
+    pool.register(TenantId(1), 1 << 20, 1 << 10).unwrap();
+    c.tenant = Some(Tenant {
+        id: 1,
+        cores: c.machine.cores,
+        bandwidth: BandwidthModel::new(),
+        pool: Some(pool),
+        pressure: true,
+    });
+    c
+}
+
 /// Satellite: pressure ladder under `--concurrent`. The escalation path
 /// (full GC → degrade) drives collections through the concurrent
 /// collector; the run must complete with the same final heap as the
 /// pressured STW run.
 #[test]
 fn pressure_ladder_under_concurrent_matches_stw() {
-    let stw = run_workload("Bisort", 60, |c| c.with_pressure(true));
-    let conc = run_workload("Bisort", 60, |c| c.with_pressure(true).with_concurrent(true));
+    let stw = run_workload("Bisort", 60, pressured);
+    let conc = run_workload("Bisort", 60, |c| pressured(c).with_concurrent(true));
     assert!(stw.verify_ok && conc.verify_ok);
     assert_eq!(
         conc.heap_hash, stw.heap_hash,

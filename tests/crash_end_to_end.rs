@@ -15,10 +15,11 @@ use svagc::workloads::suite;
 const SEED_WORKLOAD: &str = "LRUCache";
 
 fn cfg_with(plans: Vec<CrashPlan>) -> RunConfig {
-    RunConfig::new(CollectorKind::Svagc)
+    let mut cfg = RunConfig::new(CollectorKind::Svagc)
         .with_crash_plans(plans)
-        .with_verify_phases(true)
-        .with_tlb_oracle(true)
+        .with_tlb_oracle(true);
+    cfg.gc.verify_phases = true;
+    cfg
 }
 
 fn crash_run(plans: Vec<CrashPlan>, mutation: Option<WalMutation>) -> CrashReport {
@@ -94,9 +95,7 @@ fn unfired_crash_plans_do_not_perturb_the_run() {
         CrashOutcome::Crashed(rep) => panic!("plan fired unexpectedly at {}", rep.point),
     };
     let mut w2 = suite::by_name(SEED_WORKLOAD).unwrap();
-    let plain_cfg = RunConfig::new(CollectorKind::Svagc)
-        .with_verify_phases(true)
-        .with_tlb_oracle(true);
+    let plain_cfg = cfg_with(Vec::new());
     let plain = run(w2.as_mut(), &plain_cfg).unwrap();
     assert_eq!(armed.heap_hash, plain.heap_hash);
     assert_eq!(armed.gc.count(), plain.gc.count());

@@ -120,7 +120,7 @@ fn threshold_config_controls_swapping() {
 fn multi_jvm_is_deterministic_despite_host_parallelism() {
     let go = || {
         let mut base = RunConfig::new(CollectorKind::ParallelGc);
-        base.gc_threads = 4;
+        base.gc.gc_threads = 4;
         let res = run_multi(
             4,
             |i| {

@@ -6,12 +6,13 @@
 //! (in-use == survivors' footprints, ownership audit clean, quarantined
 //! tenants owning nothing).
 
+use std::collections::HashSet;
+use svagc::kernel::TIER_EPOCH;
+use svagc::metrics::TraceKind;
 use svagc::workloads::churn::{ChurnSpec, ChurnWorkload, SizeDist};
-use svagc::workloads::driver::{FailureKind, RunConfig};
+use svagc::workloads::driver::{CollectorKind, FailureKind, RunConfig};
 use svagc::workloads::multijvm::{run_fleet, FleetConfig, TenantOutcome};
-use svagc::workloads::noisy::{
-    default_collector, noisy_workload, quota_frames, run_noisy_neighbor, NoisySpec,
-};
+use svagc::workloads::noisy::{noisy_workload, quota_frames, run_noisy_neighbor, NoisySpec};
 use svagc::workloads::workload::Workload;
 
 /// The headline E2E: a 10% permanent-fault victim is quarantined with a
@@ -22,7 +23,7 @@ use svagc::workloads::workload::Workload;
 #[test]
 fn faulted_victim_quarantines_while_the_fleet_survives_and_oracles_hold() {
     let spec = NoisySpec::standard(0.10, 42);
-    let base = RunConfig::new(default_collector());
+    let base = RunConfig::new(CollectorKind::Svagc);
     let out = run_noisy_neighbor(&spec, &base).expect("blast radius must hold");
 
     assert_eq!(out.faulty.survivors(), spec.tenants - 1);
@@ -54,7 +55,7 @@ fn oom_quarantine_is_tenant_local_and_typed() {
         victims: vec![],
         ..NoisySpec::standard(0.0, 7)
     };
-    let base = RunConfig::new(default_collector());
+    let base = RunConfig::new(CollectorKind::Svagc);
     let (quota, headroom) = quota_frames(&spec, &base).expect("the standard quota fits");
     let fleet = FleetConfig::pooled(quota * spec.tenants as u32, quota, headroom)
         .with_pressure(true)
@@ -114,7 +115,7 @@ fn pressure_ladder_is_the_difference_between_survival_and_typed_oom() {
         steps: 6,
         ..NoisySpec::standard(0.0, 7)
     };
-    let base = RunConfig::new(default_collector());
+    let base = RunConfig::new(CollectorKind::Svagc);
     let (quota, headroom) = quota_frames(&spec, &base).expect("the standard quota fits");
     let mk_fleet = |pressure: bool| {
         FleetConfig::pooled(quota * spec.tenants as u32, quota, headroom)
@@ -152,4 +153,53 @@ fn pressure_ladder_is_the_difference_between_survival_and_typed_oom() {
         "the squeeze is real: without the ladder the fleet cannot be whole"
     );
     unarmed.frame_leak_oracle().expect("quarantine teardown must balance the pool");
+}
+
+/// A tenant's one id names its WAL epochs: in a pooled and in an unpooled
+/// fleet alike, with tiering arming every tenant's log, each GC epoch a
+/// tenant's trace records carries the tenant's id in its top 16 bits, so
+/// no two tenants ever share an epoch. (Residency records all use the
+/// reserved [`TIER_EPOCH`], which no GC epoch can equal.)
+#[test]
+fn every_tenants_wal_epochs_carry_its_id() {
+    let spec = NoisySpec {
+        tenants: 3,
+        victims: vec![],
+        steps: 6,
+        // A quota twice the eager footprint: a tenant that demotes pages
+        // under a squeezed quota can be handed a frame id past its slice
+        // of the pool (FrameOutOfRange), a fault of pooled tiering that
+        // this test of epoch names does not cover.
+        quota_fraction: 2.0,
+        ..NoisySpec::standard(0.0, 7)
+    };
+    let base = RunConfig::new(CollectorKind::Svagc).with_trace(true).with_tiering(0.5);
+    let (quota, headroom) = quota_frames(&spec, &base).expect("the quota fits");
+    let pooled = FleetConfig::pooled(quota * spec.tenants as u32, quota, headroom);
+    for fleet in [pooled, FleetConfig::unpooled()] {
+        let pooled = fleet.pool_frames.is_some();
+        let res = run_fleet(spec.tenants, |i| noisy_workload(&spec, i), &base, &fleet, |_, c| c)
+            .expect("fleet-level success");
+        let mut seen = HashSet::new();
+        for (i, o) in res.outcomes.iter().enumerate() {
+            let r = match o {
+                TenantOutcome::Completed(r) => r,
+                TenantOutcome::Quarantined { message, .. } => {
+                    panic!("pooled {pooled}: tenant {i} failed: {message}")
+                }
+            };
+            let epochs: HashSet<u64> = r
+                .trace
+                .iter()
+                .filter(|e| e.kind == TraceKind::WalRecord)
+                .filter_map(|e| e.arg("epoch"))
+                .filter(|&epoch| epoch != TIER_EPOCH)
+                .collect();
+            assert!(!epochs.is_empty(), "pooled {pooled}: tenant {i} logged no GC epoch");
+            for epoch in epochs {
+                assert_eq!(epoch >> 48, i as u64 + 1, "pooled {pooled}: tenant {i}, {epoch:#x}");
+                assert!(seen.insert(epoch), "pooled {pooled}: epoch {epoch:#x} is shared");
+            }
+        }
+    }
 }

@@ -16,16 +16,22 @@ use svagc::workloads::suite;
 const SEED_WORKLOAD: &str = "LRUCache";
 const DEVICE_SEED: u64 = 0xD1CE;
 
+/// SVAGC with the heap verifier after every phase.
+fn verified() -> RunConfig {
+    let mut cfg = RunConfig::new(CollectorKind::Svagc);
+    cfg.gc.verify_phases = true;
+    cfg
+}
+
 fn dram_only_run() -> RunResult {
     let mut w = suite::by_name(SEED_WORKLOAD).unwrap();
-    let cfg = RunConfig::new(CollectorKind::Svagc).with_verify_phases(true);
+    let cfg = verified();
     run(w.as_mut(), &cfg).expect("DRAM-only reference run")
 }
 
 fn tiered_run(dram_fraction: f64, fault_rate: f64) -> RunResult {
     let mut w = suite::by_name(SEED_WORKLOAD).unwrap();
-    let cfg = RunConfig::new(CollectorKind::Svagc)
-        .with_verify_phases(true)
+    let cfg = verified()
         .with_tiering(dram_fraction)
         .with_device_faults(fault_rate, DEVICE_SEED);
     run(w.as_mut(), &cfg)
@@ -107,8 +113,7 @@ fn device_fault_matrix_stays_bit_identical() {
 fn early_device_death_degrades_to_dram_only_and_completes() {
     let reference = dram_only_run();
     let mut w = suite::by_name(SEED_WORKLOAD).unwrap();
-    let mut cfg = RunConfig::new(CollectorKind::Svagc)
-        .with_verify_phases(true)
+    let mut cfg = verified()
         .with_tiering(0.3);
     cfg.device_faults = Some(DeviceFaultConfig::uniform(0.0, DEVICE_SEED).with_offline_after(0));
     let r = run(w.as_mut(), &cfg).expect("degraded run must complete");
@@ -130,8 +135,7 @@ fn early_device_death_degrades_to_dram_only_and_completes() {
 #[test]
 fn mid_run_device_death_fails_typed_with_exit_code_16() {
     let mut w = suite::by_name(SEED_WORKLOAD).unwrap();
-    let mut cfg = RunConfig::new(CollectorKind::Svagc)
-        .with_verify_phases(true)
+    let mut cfg = verified()
         .with_tiering(0.3);
     cfg.device_faults =
         Some(DeviceFaultConfig::uniform(0.0, DEVICE_SEED).with_offline_after(500));
@@ -154,8 +158,7 @@ fn mid_run_device_death_fails_typed_with_exit_code_16() {
 #[test]
 fn crash_mid_demote_writeback_recovers_verified() {
     let mut w = suite::by_name(SEED_WORKLOAD).unwrap();
-    let cfg = RunConfig::new(CollectorKind::Svagc)
-        .with_verify_phases(true)
+    let cfg = verified()
         .with_tiering(0.3)
         .with_crash_plans(vec![CrashPlan::nth(CrashPoint::MidDemoteWriteback, 8)]);
     let rep = match run_with_crash(w.as_mut(), &cfg, true)
@@ -185,8 +188,7 @@ fn crash_mid_demote_writeback_recovers_verified() {
 #[test]
 fn crash_mid_promote_fetch_recovers_verified() {
     let mut w = suite::by_name(SEED_WORKLOAD).unwrap();
-    let cfg = RunConfig::new(CollectorKind::Svagc)
-        .with_verify_phases(true)
+    let cfg = verified()
         .with_tiering(0.3)
         .with_crash_plans(vec![CrashPlan::first(CrashPoint::MidPromoteFetch)]);
     let rep = match run_with_crash(w.as_mut(), &cfg, true)
@@ -221,8 +223,7 @@ fn crash_mid_cycle_with_far_pages_recovers_verified() {
         CrashPoint::AfterBatchApply,
     ] {
         let mut w = suite::by_name(SEED_WORKLOAD).unwrap();
-        let cfg = RunConfig::new(CollectorKind::Svagc)
-            .with_verify_phases(true)
+        let cfg = verified()
             .with_tiering(0.3)
             .with_crash_plans(vec![CrashPlan::nth(point, 25)]);
         let rep = match run_with_crash(w.as_mut(), &cfg, true)
@@ -252,8 +253,7 @@ fn crash_mid_cycle_with_far_pages_recovers_verified() {
 fn a_wal_mutation_under_tiering_makes_recovery_fail_closed() {
     for m in [WalMutation::DropIntent, WalMutation::CorruptPreimage] {
         let mut w = suite::by_name(SEED_WORKLOAD).unwrap();
-        let cfg = RunConfig::new(CollectorKind::Svagc)
-            .with_verify_phases(true)
+        let cfg = verified()
             .with_tiering(0.3)
             .with_crash_plans(vec![CrashPlan::first(CrashPoint::AfterBatchApply)])
             .with_wal_mutation(Some(m));
@@ -275,8 +275,7 @@ fn a_wal_mutation_under_tiering_makes_recovery_fail_closed() {
 fn tiering_composes_with_swapva_faults() {
     let reference = dram_only_run();
     let mut w = suite::by_name(SEED_WORKLOAD).unwrap();
-    let cfg = RunConfig::new(CollectorKind::Svagc)
-        .with_verify_phases(true)
+    let cfg = verified()
         .with_tiering(0.5)
         .with_device_faults(0.05, DEVICE_SEED)
         .with_faults(0.01, 0xFA017);
